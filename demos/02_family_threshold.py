@@ -52,7 +52,9 @@ f5 = member(5)
 sb = standard_basis([f5.P, f5.Q])
 square = xy.poly * xy.poly
 residue = sb.normal_form(square)
-print("\nnormal form of (x*y)^2 modulo (P, Q) at k = 5:")
+print("\nnormal form of (x*y)^2 modulo (P, Q) at k = 5, on the staircase of")
+print("%d monomials below the certified degree N = %d (m^N lies in (P, Q)):"
+      % (len(sb.quotient_basis), sb.truncation))
 print("   ", residue)
 print("zero?", residue.is_zero)
 

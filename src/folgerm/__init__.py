@@ -39,6 +39,7 @@ from .germs import (
     tjurina_foliation,
 )
 from .localalg import (
+    EngineInconsistencyError,
     TruncationError,
     quotient_dim,
     stabilized_macaulay_dim,
@@ -74,6 +75,7 @@ __all__ = [
     "CheckReport",
     "CurveGerm",
     "DocumentError",
+    "EngineInconsistencyError",
     "EulerRelationError",
     "FoliationGerm",
     "IrrationalSingularPointError",

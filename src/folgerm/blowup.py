@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .localalg import EngineInconsistencyError
 from .polynomials import Poly
 
 MAX_BLOWUPS_DEFAULT = 24
@@ -108,9 +109,11 @@ def blow_up(P: Poly, Q: Poly) -> BlowupResult:
     B2 = x * Pc + Qc
     m2 = _common_order(A2, B2, 1)
 
-    assert m1 == m2, "exceptional multiplicity must agree between charts"
     epsilon = m1 - nu
-    assert epsilon in (0, 1)
+    if m1 != m2 or epsilon not in (0, 1):
+        raise EngineInconsistencyError(
+            f"exceptional multiplicities {m1} and {m2} for multiplicity {nu}"
+        )
     return BlowupResult(
         nu=nu,
         m=m1,

@@ -54,12 +54,13 @@ def bareiss_rank(matrix: Matrix) -> int:
     return rank
 
 
-def sparse_int_rank(rows: list[dict[int, int]]) -> int:
-    """Rank of sparse integer rows (column index -> entry).
+def sparse_int_echelon(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Echelon form of sparse integer rows (column index -> entry).
 
-    Cross-multiplication elimination with the content of every new row
-    divided out, which keeps entries bounded on the structured matrices the
-    truncation oracle produces.
+    Returns the pivot rows keyed by their pivot, which is their smallest
+    column.  Cross-multiplication elimination with the content of every new
+    pivot row divided out, which keeps entries bounded on the structured
+    matrices the truncated local quotients produce.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
@@ -85,7 +86,12 @@ def sparse_int_rank(rows: list[dict[int, int]]) -> int:
                 else:
                     merged.pop(c, None)
             current = merged
-    return len(pivots)
+    return pivots
+
+
+def sparse_int_rank(rows: list[dict[int, int]]) -> int:
+    """Rank of sparse integer rows (column index -> entry)."""
+    return len(sparse_int_echelon(rows))
 
 
 def rref(matrix: Matrix) -> tuple[list[list[Fraction]], list[int]]:
@@ -146,19 +152,3 @@ def column_space_equal(a: Matrix, b: Matrix) -> bool:
         return False
     stacked = va + vb
     return (bareiss_rank(stacked) if stacked else 0) == ra
-
-
-def mat_mul(a: Matrix, b: Matrix) -> list[list[Fraction]]:
-    if not a or not b:
-        return []
-    n, k, m = len(a), len(b), len(b[0])
-    assert all(len(row) == k for row in a)
-    return [
-        [sum((Fraction(a[i][t]) * Fraction(b[t][j]) for t in range(k)), Fraction(0))
-         for j in range(m)]
-        for i in range(n)
-    ]
-
-
-def is_zero_matrix(matrix: Matrix) -> bool:
-    return all(not e for row in matrix for e in row)

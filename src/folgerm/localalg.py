@@ -1,298 +1,45 @@
-"""Standard bases and finite quotients in the local ring at the origin.
+"""Finite quotients of the local ring at the origin, by truncated linear algebra.
 
-The monomial order is degree-anticompatible: lower total degree means a
-*larger* monomial, ties are broken lexicographically with ``x > y``, and 1 is
-the largest monomial of all.  Division must therefore use Mora's weak normal
-form (reducers are selected by minimal ecart, and intermediate remainders may
-join the reducer list); with it, Buchberger completion terminates and a zero
-normal form is equivalent to ideal membership in the local ring.
+Every local dimension comes from one truncated Macaulay matrix.  Its columns
+are the monomials of degree < M in the local column order: lower total
+degree first, ties broken lexicographically with ``x > y``, so 1 leads.  Its
+rows are the monomial multiples ``x^a * g_i`` of the generators, cut off at
+degree M.  The rows span (I + m^M)/m^M, and after sparse integer elimination
+the columns without a pivot ("free" columns) of degree d number
+dim O/(I + m^(d+1)) - dim O/(I + m^d), for every d < M.
 
-Internally every basis element is an integer-primitive term dict; reductions
-use fraction-free cross-multiplication, which is legitimate because scaling
-by a nonzero constant does not change the ideal.  Canonical coordinates on
-the quotient (needed for multiplication matrices) are computed separately
-over ``Fraction`` with a certified degree truncation.
-
-``macaulay_dim`` is an independent check on quotient dimensions: it never
-looks at standard bases, only at ranks of truncated multiplication maps.
+Certificate (Nakayama's lemma; Greuel-Pfister, *A Singular Introduction to
+Commutative Algebra*, 1.6-1.7): a degree N < M without a free column gives
+dim O/(I + m^N) = dim O/(I + m^(N+1)), hence m^N is inside I.  Then O/I is the
+space of polynomials of degree < N modulo the pivot rows cut off at N: the
+free columns are its basis (the staircase) and the pivot rows reduce onto
+it.  Before they stabilize the dimensions rise strictly, and generators of
+degree <= d have colength at most d^n when it is finite (Bezout), so a
+quotient still rising at degree d^n is infinite.
 """
 
 from __future__ import annotations
 
-import heapq
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
 
-from .linalg import bareiss_rank, sparse_int_rank
+from .linalg import bareiss_rank, sparse_int_echelon
 from .polynomials import Monomial, Poly
 
-_NF_STEP_CAP = 500_000
-_PAIR_CAP = 100_000
+_FIRST_TRUNCATION = 4
 
 
 class TruncationError(RuntimeError):
     """The truncation oracle failed to stabilize below the hard cap."""
 
 
-def _sort_key(monomial: Monomial) -> tuple:
-    # Ascending key = descending monomial: smaller total degree wins,
-    # ties go to the lexicographically larger exponent tuple (x > y).
+class EngineInconsistencyError(RuntimeError):
+    """Two exact routes to the same quantity disagreed."""
+
+
+def column_key(monomial: Monomial) -> tuple:
+    """Position in the local column order: smaller key, larger monomial."""
     return (sum(monomial), tuple(-e for e in monomial))
-
-
-class LocalOrder:
-    """Degree-anticompatible local order with deg-lex tie break, x > y."""
-
-    @staticmethod
-    def sort_key(monomial: Monomial) -> tuple:
-        return _sort_key(monomial)
-
-    @staticmethod
-    def greater(m1: Monomial, m2: Monomial) -> bool:
-        return _sort_key(m1) < _sort_key(m2)
-
-    @staticmethod
-    def leading_term(p: Poly) -> tuple[Monomial, Fraction]:
-        if p.is_zero:
-            raise ValueError("the zero polynomial has no leading term")
-        terms = p.terms
-        lm = min(terms, key=_sort_key)
-        return lm, terms[lm]
-
-
-LOCAL_ORDER = LocalOrder()
-
-
-def _divides(d: Monomial, m: Monomial) -> bool:
-    return all(a <= b for a, b in zip(d, m))
-
-
-def _int_terms(p: Poly) -> dict[Monomial, int]:
-    """Integer-primitive copy of the term dict (unit rescaling)."""
-    terms = p.terms
-    num = 0
-    den = 1
-    for c in terms.values():
-        num = gcd(num, c.numerator)
-        den = den * c.denominator // gcd(den, c.denominator)
-    scale = Fraction(den, num) if num else Fraction(1)
-    out = {m: int(c * scale) for m, c in terms.items()}
-    if out and out[min(out, key=_sort_key)] < 0:
-        out = {m: -c for m, c in out.items()}
-    return out
-
-
-def _normalize_content(terms: dict[Monomial, int]) -> None:
-    g = 0
-    for c in terms.values():
-        g = gcd(g, c)
-        if g == 1:
-            return
-    if g > 1:
-        for m in terms:
-            terms[m] //= g
-
-
-class _Gen:
-    """A reducer with cached leading data."""
-
-    __slots__ = ("terms", "lm", "lc", "deg", "ecart", "index")
-
-    def __init__(self, terms: dict[Monomial, int], index: int):
-        self.terms = terms
-        self.lm = min(terms, key=_sort_key)
-        self.lc = terms[self.lm]
-        self.deg = max(sum(m) for m in terms)
-        self.ecart = self.deg - sum(self.lm)
-        self.index = index
-
-
-def _combine(
-    a: dict[Monomial, int],
-    ca: int,
-    b: dict[Monomial, int],
-    cb: int,
-    shift: Monomial,
-) -> dict[Monomial, int]:
-    """ca*a - cb*(x^shift * b), as integer term dicts."""
-    out = {m: ca * c for m, c in a.items()}
-    for m, c in b.items():
-        key = tuple(e + s for e, s in zip(m, shift))
-        value = out.get(key, 0) - cb * c
-        if value:
-            out[key] = value
-        else:
-            out.pop(key, None)
-    return out
-
-
-def _mora_nf(h: dict[Monomial, int], reducers: list[_Gen]) -> dict[Monomial, int]:
-    """Mora weak normal form of h against the reducer list.
-
-    The reducer list is extended with intermediate remainders whenever the
-    chosen divisor has strictly larger ecart; that is what makes the loop
-    terminate under a non-well-founded local order.
-    """
-    pool = list(reducers)
-    next_index = max((g.index for g in pool), default=-1) + 1
-    h = dict(h)
-    steps = 0
-    while h:
-        lm_h = min(h, key=_sort_key)
-        candidates = [g for g in pool if _divides(g.lm, lm_h)]
-        if not candidates:
-            break
-        g = min(candidates, key=lambda g: (g.ecart, g.index))
-        deg_h = max(sum(m) for m in h)
-        if g.ecart > deg_h - sum(lm_h):
-            pool.append(_Gen(dict(h), next_index))
-            next_index += 1
-        shift = tuple(a - b for a, b in zip(lm_h, g.lm))
-        h = _combine(h, g.lc, g.terms, h[lm_h], shift)
-        _normalize_content(h)
-        steps += 1
-        if steps > _NF_STEP_CAP:
-            raise RuntimeError("normal form did not terminate within the step cap")
-    _normalize_content(h)
-    return h
-
-
-def _spoly(f: _Gen, g: _Gen) -> dict[Monomial, int]:
-    lcm = tuple(max(a, b) for a, b in zip(f.lm, g.lm))
-    shift_f = tuple(l - a for l, a in zip(lcm, f.lm))
-    shifted = {
-        tuple(e + s for e, s in zip(m, shift_f)): g.lc * c
-        for m, c in f.terms.items()
-    }
-    shift_g = tuple(l - a for l, a in zip(lcm, g.lm))
-    out = shifted
-    for m, c in g.terms.items():
-        key = tuple(e + s for e, s in zip(m, shift_g))
-        value = out.get(key, 0) - f.lc * c
-        if value:
-            out[key] = value
-        else:
-            out.pop(key, None)
-    return out
-
-
-class StandardBasis:
-    """A completed standard basis with its staircase data."""
-
-    def __init__(self, nvars: int, gens: list[_Gen], inputs: list[Poly]):
-        self.nvars = nvars
-        self.order = LOCAL_ORDER
-        self.inputs = inputs
-        self._gens = gens
-        self.generators = [
-            Poly(nvars, {m: Fraction(c) for m, c in g.terms.items()})
-            for g in gens
-        ]
-        self.leading_ideal: tuple[Monomial, ...] = tuple(
-            sorted((g.lm for g in gens), key=_sort_key)
-        )
-        self.quotient_basis = self._staircase()
-        self._truncation: int | None = None
-
-    # -- staircase ---------------------------------------------------------
-
-    def _staircase(self) -> tuple[Monomial, ...] | None:
-        leads = self.leading_ideal
-        bounds = []
-        for var in range(self.nvars):
-            pure = [
-                m[var]
-                for m in leads
-                if all(e == 0 for i, e in enumerate(m) if i != var)
-            ]
-            if not pure:
-                return None
-            bounds.append(min(pure))
-        def boxes(prefix: tuple[int, ...], remaining: list[int]):
-            if not remaining:
-                yield prefix
-                return
-            for e in range(remaining[0]):
-                yield from boxes(prefix + (e,), remaining[1:])
-        standard = [
-            m
-            for m in boxes((), bounds)
-            if not any(_divides(lead, m) for lead in leads)
-        ]
-        return tuple(sorted(standard, key=_sort_key))
-
-    def quotient_dim(self) -> int | None:
-        """Dimension of the local quotient ring, or None when infinite."""
-        if self.quotient_basis is None:
-            return None
-        return len(self.quotient_basis)
-
-    # -- membership and canonical coordinates ------------------------------
-
-    def normal_form(self, p: Poly) -> Poly:
-        """Mora weak normal form; zero exactly for local ideal members."""
-        if p.is_zero:
-            return p
-        if p.nvars != self.nvars:
-            raise ValueError("arity mismatch")
-        result = _mora_nf(_int_terms(p), self._gens)
-        return Poly(self.nvars, {m: Fraction(c) for m, c in result.items()})
-
-    def contains(self, p: Poly) -> bool:
-        return self.normal_form(p).is_zero
-
-    def truncation_degree(self) -> int:
-        """Smallest certified N with m^N inside the ideal.
-
-        Starts just above the staircase and raises the bound until every
-        monomial of that degree has normal form zero; membership of all
-        degree-N monomials certifies the inclusion.
-        """
-        if self._truncation is not None:
-            return self._truncation
-        dim = self.quotient_dim()
-        if dim is None:
-            raise ValueError("infinite quotient has no truncation degree")
-        n = 1 + max((sum(m) for m in self.quotient_basis), default=0)
-        cap = max(n, dim) + 2
-        while True:
-            monomials = _monomials_of_degree(self.nvars, n)
-            if all(not _mora_nf({m: 1}, self._gens) for m in monomials):
-                self._truncation = n
-                return n
-            n += 1
-            if n > cap:
-                raise RuntimeError("truncation certification exceeded its bound")
-
-    def reduce_to_coordinates(self, p: Poly) -> dict[Monomial, Fraction]:
-        """Coordinates of the class of p on the quotient basis (exact)."""
-        if p.nvars != self.nvars:
-            raise ValueError("arity mismatch")
-        n = self.truncation_degree()
-        standard = set(self.quotient_basis)
-        work = {m: c for m, c in p.items() if sum(m) < n}
-        out: dict[Monomial, Fraction] = {}
-        while work:
-            t = min(work, key=_sort_key)
-            coeff = work.pop(t)
-            g = next((g for g in self._gens if _divides(g.lm, t)), None)
-            if g is None:
-                assert t in standard, "reduced monomial escaped the staircase"
-                out[t] = coeff
-                continue
-            factor = coeff / g.lc
-            shift = tuple(a - b for a, b in zip(t, g.lm))
-            for m, c in g.terms.items():
-                key = tuple(e + s for e, s in zip(m, shift))
-                if key == t or sum(key) >= n:
-                    continue
-                value = work.get(key, 0) - factor * c
-                if value:
-                    work[key] = value
-                else:
-                    work.pop(key, None)
-        return out
 
 
 def _monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
@@ -309,58 +56,145 @@ def _monomials_below(nvars: int, degree: int) -> list[Monomial]:
     out: list[Monomial] = []
     for d in range(degree):
         out.extend(_monomials_of_degree(nvars, d))
-    return sorted(out, key=_sort_key)
+    return sorted(out, key=column_key)
 
 
-def standard_basis(gens: Iterable[Poly]) -> StandardBasis:
-    """Buchberger completion with Mora normal forms (normal pair strategy)."""
-    inputs = [g for g in gens]
-    nonzero = [g for g in inputs if not g.is_zero]
+def _integer_generators(gens: Iterable[Poly]) -> tuple[int, list[Poly]]:
+    nonzero = [g for g in gens if not g.is_zero]
     if not nonzero:
         raise ValueError("need at least one nonzero generator")
     nvars = nonzero[0].nvars
     if any(g.nvars != nvars for g in nonzero):
         raise ValueError("generators disagree on arity")
+    return nvars, [g.primitive() for g in nonzero]
 
-    basis: list[_Gen] = []
-    for g in nonzero:
-        basis.append(_Gen(_int_terms(g), len(basis)))
 
-    pairs: list[tuple[tuple, int, int]] = []
+def _echelon(
+    gens: list[Poly], nvars: int, truncation: int
+) -> tuple[list[Monomial], dict[int, dict[int, int]]]:
+    """Columns below ``truncation`` and the pivot rows of the Macaulay matrix."""
+    columns = _monomials_below(nvars, truncation)
+    column_index = {m: i for i, m in enumerate(columns)}
+    rows: list[dict[int, int]] = []
+    for g in gens:
+        terms = {m: c.numerator for m, c in g.items()}
+        room = truncation - g.order()
+        for d in range(max(room, 0)):
+            for shift in _monomials_of_degree(nvars, d):
+                row: dict[int, int] = {}
+                for m, c in terms.items():
+                    key = tuple(a + b for a, b in zip(m, shift))
+                    if sum(key) < truncation:
+                        row[column_index[key]] = c
+                if row:
+                    rows.append(row)
+    return columns, sparse_int_echelon(rows)
 
-    def push_pairs(j: int) -> None:
-        for i in range(j):
-            lcm = tuple(max(a, b) for a, b in zip(basis[i].lm, basis[j].lm))
-            if lcm == tuple(a + b for a, b in zip(basis[i].lm, basis[j].lm)):
-                continue  # disjoint leading monomials: s-poly reduces to zero
-            heapq.heappush(pairs, ((sum(lcm), _sort_key(lcm)), i, j))
 
-    for j in range(len(basis)):
-        push_pairs(j)
+class StandardBasis:
+    """The local quotient O/I: its staircase and the rows that reduce onto it.
 
-    processed = 0
-    while pairs:
-        _, i, j = heapq.heappop(pairs)
-        processed += 1
-        if processed > _PAIR_CAP:
-            raise RuntimeError("standard basis completion exceeded the pair cap")
-        s = _spoly(basis[i], basis[j])
-        if not s:
-            continue
-        _normalize_content(s)
-        h = _mora_nf(s, basis)
-        if h:
-            basis.append(_Gen(h, len(basis)))
-            push_pairs(len(basis) - 1)
+    ``truncation`` is the certified N with m^N inside I, or None when the
+    quotient is infinite; ``quotient_basis`` is then None as well.
+    """
 
-    # Keep one generator per minimal leading monomial.
-    minimal: list[_Gen] = []
-    for g in sorted(basis, key=lambda g: (_sort_key(g.lm), g.index)):
-        if not any(_divides(kept.lm, g.lm) for kept in minimal):
-            minimal.append(g)
-    for index, g in enumerate(minimal):
-        g.index = index
-    return StandardBasis(nvars, minimal, inputs)
+    def __init__(
+        self,
+        nvars: int,
+        columns: list[Monomial],
+        pivots: dict[int, dict[int, int]],
+        truncation: int | None,
+    ):
+        self.nvars = nvars
+        self.truncation = truncation
+        self._columns = columns
+        self._pivots = pivots
+        free = tuple(m for i, m in enumerate(columns) if i not in pivots)
+        self.quotient_basis = free if truncation is not None else None
+        top = truncation if truncation is not None else sum(columns[-1])
+        staircase = set(free)
+        # minimal generators of the leading ideal: the outer corners
+        self.leading_ideal: tuple[Monomial, ...] = tuple(
+            m
+            for m in columns
+            if sum(m) <= top
+            and m not in staircase
+            and all(
+                m[i] == 0
+                or m[:i] + (m[i] - 1,) + m[i + 1:] in staircase
+                for i in range(nvars)
+            )
+        )
+        self._table: dict[Monomial, dict[Monomial, Fraction]] | None = None
+
+    def quotient_dim(self) -> int | None:
+        """Dimension of the local quotient ring, or None when infinite."""
+        if self.quotient_basis is None:
+            return None
+        return len(self.quotient_basis)
+
+    def _coordinates(self) -> dict[Monomial, dict[Monomial, Fraction]]:
+        """Staircase coordinates of every monomial of degree < N."""
+        if self._table is None:
+            n = self.truncation
+            columns = self._columns
+            below = sum(1 for m in columns if sum(m) < n)
+            table = {m: {m: Fraction(1)} for m in self.quotient_basis}
+            # each pivot row only reaches columns after its pivot
+            for col in sorted((c for c in self._pivots if c < below), reverse=True):
+                row = self._pivots[col]
+                acc: dict[Monomial, Fraction] = {}
+                for c, v in row.items():
+                    if c == col or c >= below:
+                        continue
+                    for b, w in table[columns[c]].items():
+                        acc[b] = acc.get(b, 0) + v * w
+                lead = -row[col]
+                table[columns[col]] = {b: w / lead for b, w in acc.items() if w}
+            self._table = table
+        return self._table
+
+    def reduce_to_coordinates(self, p: Poly) -> dict[Monomial, Fraction]:
+        """Coordinates of the class of p on the quotient basis (exact)."""
+        if p.nvars != self.nvars:
+            raise ValueError("arity mismatch")
+        if self.truncation is None:
+            raise ValueError("canonical coordinates need a finite quotient")
+        table = self._coordinates()
+        out: dict[Monomial, Fraction] = {}
+        for m, c in p.items():
+            if sum(m) < self.truncation:
+                for b, w in table[m].items():
+                    out[b] = out.get(b, 0) + c * w
+        return {b: v for b, v in out.items() if v}
+
+    def normal_form(self, p: Poly) -> Poly:
+        """Canonical representative on the staircase; zero exactly for members."""
+        return Poly(self.nvars, self.reduce_to_coordinates(p))
+
+    def contains(self, p: Poly) -> bool:
+        return self.normal_form(p).is_zero
+
+
+def standard_basis(gens: Iterable[Poly]) -> StandardBasis:
+    """Certified local quotient by the ideal of ``gens``.
+
+    Doubles the truncation M until some degree below M has no free column,
+    or until the free columns reach the Bezout bound d^n (infinite quotient).
+    """
+    nvars, gens = _integer_generators(gens)
+    bezout = max(g.total_degree() for g in gens) ** nvars
+    truncation = min(_FIRST_TRUNCATION, bezout + 1)
+    while True:
+        columns, pivots = _echelon(gens, nvars, truncation)
+        top = max(
+            (sum(m) for i, m in enumerate(columns) if i not in pivots), default=-1
+        )
+        if top + 1 < truncation:
+            return StandardBasis(nvars, columns, pivots, top + 1)
+        if truncation > bezout:
+            return StandardBasis(nvars, columns, pivots, None)
+        truncation = min(2 * truncation, bezout + 1)
 
 
 def normal_form(p: Poly, sb: StandardBasis) -> Poly:
@@ -430,40 +264,21 @@ def kernel_rank(op: QuotientOperator) -> tuple[int, int]:
 
 
 def macaulay_dim(gens: Sequence[Poly], truncation: int) -> int:
-    """Quotient dimension bounded below degree ``truncation``.
+    """dim O/(I + m^N) for N = ``truncation``: the free columns below N.
 
-    Dimension of (polynomials of degree < N) modulo the span of all monomial
-    multiples of the generators truncated below N, together with every
-    monomial of degree >= N.  Agrees with the true local quotient dimension
-    once N is large enough; no standard bases are involved.
+    Agrees with the local quotient dimension once N is large enough.
     """
-    nonzero = [g for g in gens if not g.is_zero]
-    if not nonzero:
-        raise ValueError("need at least one nonzero generator")
-    nvars = nonzero[0].nvars
-    columns = _monomials_below(nvars, truncation)
-    column_index = {m: i for i, m in enumerate(columns)}
-    rows: list[dict[int, int]] = []
-    for g in nonzero:
-        terms = _int_terms(g)
-        room = truncation - min(sum(m) for m in terms)
-        for d in range(max(room, 0)):
-            for shift in _monomials_of_degree(nvars, d):
-                row: dict[int, int] = {}
-                for m, c in terms.items():
-                    key = tuple(a + b for a, b in zip(m, shift))
-                    if sum(key) < truncation:
-                        row[column_index[key]] = c
-                if row:
-                    rows.append(row)
-    return len(columns) - sparse_int_rank(rows)
+    nvars, gens = _integer_generators(gens)
+    columns, pivots = _echelon(gens, nvars, truncation)
+    return len(columns) - len(pivots)
 
 
 def stabilized_macaulay_dim(gens: Sequence[Poly], cap: int = 64) -> int:
     """Run the truncation oracle until two consecutive values agree.
 
     Starts at max(4, 2*maxdeg + 2) and steps by 2; raises TruncationError
-    when the cap is passed without stabilization.
+    when the cap is passed without stabilization.  This is a second
+    truncation schedule over the same rows as ``standard_basis``.
     """
     degree = max(g.total_degree() for g in gens if not g.is_zero)
     n = max(4, 2 * degree + 2)

@@ -578,6 +578,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
             cr = content_in(r)
             g = try_exact_div(r, cr)
             assert g is not None
+            g = g.primitive()
     return (poly_gcd(ca, cb) * f).primitive()
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .blowup import IrrationalSingularPointError, reduce_germ
+from .blowup import BlowupLimitError, IrrationalSingularPointError, reduce_germ
 from .germs import (
     DEFAULT_PROBES,
     BalancedEquation,
@@ -35,6 +35,7 @@ from .germs import (
 )
 from .linalg import bareiss_rank, column_space_equal, kernel_basis
 from .localalg import (
+    EngineInconsistencyError,
     kernel_rank,
     mult_operator,
     normal_form,
@@ -70,7 +71,10 @@ def _verdict(ok: bool) -> str:
 def _quotient(f: FoliationGerm):
     sb = standard_basis([f.P, f.Q])
     mu = quotient_dim(sb)
-    assert mu is not None, "coprime components always give a finite quotient"
+    if mu is None:
+        raise EngineInconsistencyError(
+            "coprime components gave an infinite local quotient"
+        )
     return sb, mu
 
 
@@ -102,7 +106,11 @@ def check_briancon_skoda(f: FoliationGerm, b: BalancedEquation) -> CheckReport:
         image = _image_columns(sigma.matrix)
         base = bareiss_rank(kernel) if kernel else 0
         member_sub = bareiss_rank(kernel + image) == base
-    assert member_nf == member_op == member_sub, "membership routes disagree"
+    if not member_nf == member_op == member_sub:
+        raise EngineInconsistencyError(
+            f"membership routes disagree: normal form {member_nf}, "
+            f"operator square {member_op}, image in kernel {member_sub}"
+        )
     second = is_second_type(f, b)
     report = CheckReport(
         name="check-bs",
@@ -251,8 +259,8 @@ def check_second_type(
     The criterion route computes the tangency excess of the balanced
     equation; the reduction route looks for saddle-nodes whose weak
     separatrix sits inside the exceptional divisor.  When reduction aborts
-    on a singular point without rational coordinates the check degrades to
-    the criterion and says so.
+    on a singular point without rational coordinates, or runs out of
+    blow-ups, the check degrades to the criterion and says so.
     """
     if mode not in ("criterion", "reduction", "both"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -267,12 +275,15 @@ def check_second_type(
     if mode in ("reduction", "both"):
         try:
             result = reduce_germ(f, max_blowups=max_blowups)
-        except IrrationalSingularPointError as err:
-            notes.append(
-                "reduction aborted on a singular point without rational "
-                f"coordinates (residual {err.residual}); "
-                "falling back to the multiplicity criterion"
-            )
+        except (IrrationalSingularPointError, BlowupLimitError) as err:
+            if isinstance(err, BlowupLimitError):
+                reason = f"reduction stopped: {err}"
+            else:
+                reason = (
+                    "reduction aborted on a singular point without rational "
+                    f"coordinates (residual {err.residual})"
+                )
+            notes.append(f"{reason}; falling back to the multiplicity criterion")
             if mode == "reduction":
                 xi = tangency_excess(f, b)
                 data["xi"] = xi

@@ -27,3 +27,14 @@ def random_nonzero_poly(rng: random.Random, **kw) -> Poly:
         p = random_poly(rng, **kw)
         if not p.is_zero:
             return p
+
+
+def sympy_expr(p: Poly, symbols):
+    """p as a sympy expression: a reference for tests, never for the package."""
+    import sympy
+
+    return sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.Mul(*(s**e for s, e in zip(symbols, m)))
+        for m, c in p.items()
+    ))

@@ -163,6 +163,24 @@ class TestLocalCommands:
         assert "verdict = fail" in out
 
 
+    @pytest.mark.parametrize("fixture", ["cusp", "fk5", "node", "radial"])
+    @pytest.mark.parametrize("mode", ["reduction", "both"])
+    def test_check_second_type_small_budget(self, capsys, fixture, mode):
+        for budget in (0, 1, 2):
+            code, out, err = run(
+                capsys,
+                "check-second-type",
+                FIXTURES / f"{fixture}.fol",
+                "--mode",
+                mode,
+                "--max-blowups",
+                budget,
+            )
+            assert code in (0, 1)
+            assert err == ""
+            assert "verdict = " in out
+
+
 class TestProjectiveCommands:
     def test_validate(self, capsys):
         code, out, _ = run(

@@ -4,9 +4,7 @@ from fractions import Fraction
 from folgerm.linalg import (
     bareiss_rank,
     column_space_equal,
-    is_zero_matrix,
     kernel_basis,
-    mat_mul,
     rref,
     sparse_int_rank,
 )
@@ -53,8 +51,7 @@ def test_rank_nullity_random():
         kernel = kernel_basis(matrix)
         assert rank + len(kernel) == m
         for vector in kernel:
-            image = mat_mul(matrix, [[v] for v in vector])
-            assert is_zero_matrix(image)
+            assert all(sum(a * v for a, v in zip(row, vector)) == 0 for row in matrix)
 
 
 def test_rref_pivots():

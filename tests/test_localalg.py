@@ -1,13 +1,20 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_nonzero_poly
+from conftest import random_nonzero_poly, sympy_expr
+from folgerm.germs import (
+    BalancedEquation,
+    CurveGerm,
+    FoliationGerm,
+    milnor_foliation,
+)
 from folgerm.localalg import (
-    LOCAL_ORDER,
     QuotientOperator,
     TruncationError,
+    column_key,
     kernel_rank,
     macaulay_dim,
     mult_operator,
@@ -17,6 +24,7 @@ from folgerm.localalg import (
     standard_basis,
 )
 from folgerm.polynomials import Poly, parse_poly
+from folgerm.theorems import check_briancon_skoda
 
 
 def P(text, **params):
@@ -36,18 +44,23 @@ def fk_components(k, lam=1):
     return p, q
 
 
+def greater(m1, m2):
+    """m1 > m2 in the local order: m1 comes first among the columns."""
+    return column_key(m1) < column_key(m2)
+
+
 class TestLocalOrder:
     def test_one_is_maximal(self):
-        assert LOCAL_ORDER.greater((0, 0), (1, 0))
-        assert LOCAL_ORDER.greater((0, 0), (0, 5))
+        assert greater((0, 0), (1, 0))
+        assert greater((0, 0), (0, 5))
 
     def test_lower_degree_wins(self):
-        assert LOCAL_ORDER.greater((1, 0), (1, 1))
-        assert LOCAL_ORDER.greater((0, 2), (5, 3))
+        assert greater((1, 0), (1, 1))
+        assert greater((0, 2), (5, 3))
 
     def test_tie_break_prefers_x(self):
-        assert LOCAL_ORDER.greater((1, 0), (0, 1))
-        assert LOCAL_ORDER.greater((2, 1), (1, 2))
+        assert greater((1, 0), (0, 1))
+        assert greater((2, 1), (1, 2))
 
     def test_total_and_multiplicative(self):
         rng = random.Random(3)
@@ -55,19 +68,17 @@ class TestLocalOrder:
         for m1 in monos:
             for m2 in monos:
                 if m1 != m2:
-                    assert LOCAL_ORDER.greater(m1, m2) != LOCAL_ORDER.greater(m2, m1)
+                    assert greater(m1, m2) != greater(m2, m1)
                     shift = (1, 2)
                     shifted = (
                         tuple(a + b for a, b in zip(m1, shift)),
                         tuple(a + b for a, b in zip(m2, shift)),
                     )
-                    assert LOCAL_ORDER.greater(m1, m2) == LOCAL_ORDER.greater(*shifted)
+                    assert greater(m1, m2) == greater(*shifted)
 
     def test_leading_term(self):
-        lm, lc = LOCAL_ORDER.leading_term(P("x - x^2"))
-        assert lm == (1, 0) and lc == 1
-        lm, _ = LOCAL_ORDER.leading_term(P("x^2*y + x*y^2 + y^5"))
-        assert lm == (2, 1)
+        assert min(P("x - x^2").terms, key=column_key) == (1, 0)
+        assert min(P("x^2*y + x*y^2 + y^5").terms, key=column_key) == (2, 1)
 
 
 class TestStandardBasis:
@@ -107,8 +118,10 @@ class TestStandardBasis:
         assert quotient_dim(sb) == 13
 
     def test_completion_example_needing_spolys(self):
-        # (y^2 - x^3, x*y): s-pair produces x^4 and friends.
+        # (y^2 - x^3, x*y): x^4 and y^3 join the leading ideal only through
+        # combinations of the generators.
         sb = standard_basis([P("y^2 - x^3"), P("x*y")])
+        assert sb.leading_ideal == ((1, 1), (0, 2), (4, 0))
         dim = quotient_dim(sb)
         assert dim == macaulay_dim([P("y^2 - x^3"), P("x*y")], 12)
 
@@ -232,3 +245,76 @@ class TestMacaulayOracle:
                 continue
             assert stabilized_macaulay_dim([f, g]) == dim
             checked += 1
+
+
+class TestSympyReference:
+    """The engine against sympy's Groebner bases of I + m^N.
+
+    I + m^N is m-primary, so its global quotient is the local one.  At the
+    certified N both I + m^N and I + m^(N+1) must have the engine's
+    dimension, which is Nakayama's certificate that m^N lies in I, and g^2
+    must be a member exactly when the engine says so.
+    """
+
+    @staticmethod
+    def reference(sympy, gens, degree):
+        x, y = sympy.symbols("x y")
+        exprs = [sympy_expr(g, (x, y)) for g in gens]
+        exprs += [x**i * y**(degree - i) for i in range(degree + 1)]
+        basis = sympy.groebner(exprs, x, y, order="grevlex")
+        leads = [p.monoms(order="grevlex")[0] for p in basis.polys]
+        dim = sum(
+            1
+            for d in range(degree)
+            for m in ((d - j, j) for j in range(d + 1))
+            if not any(a <= m[0] and b <= m[1] for a, b in leads)
+        )
+        return dim, basis
+
+    # the corpora of test_matches_standard_basis_on_small_corpus and of
+    # acceptance criterion 5
+    @pytest.mark.parametrize("seed, max_degree, count", [(29, 3, 8), (20260823, 5, 25)])
+    def test_seeded_corpus(self, seed, max_degree, count):
+        sympy = pytest.importorskip("sympy")
+        x, y = sympy.symbols("x y")
+        rng, divisors = random.Random(seed), random.Random(seed + 1)
+        checked = members = 0
+        while checked < count:
+            f = random_nonzero_poly(rng, max_degree=max_degree, min_order=1)
+            g = random_nonzero_poly(rng, max_degree=max_degree, min_order=1)
+            sb = standard_basis([f, g])
+            if sb.quotient_basis is None:
+                continue
+            n = sb.truncation
+            assert self.reference(sympy, [f, g], n + 1)[0] == quotient_dim(sb)
+            dim, basis = self.reference(sympy, [f, g], n)
+            assert dim == quotient_dim(sb)
+            h = random_nonzero_poly(divisors, max_degree=2, min_order=1)
+            member = basis.contains(sympy_expr(h * h, (x, y)))
+            assert member == sb.contains(h * h)
+            members += member
+            checked += 1
+        assert 0 < members < count
+
+
+class TestHighCorner:
+    """Germs whose quotients sit far below the degree of their generators."""
+
+    def test_milnor_number_of_sparse_germ(self):
+        start = time.perf_counter()
+        germ = FoliationGerm(
+            P("1/2*x^7*y + 8*x^6*y^2 + 3/2*x^6*y - 7/3*x^4*y^3 + 3*y^6 - x*y^3 + 1/4*x"),
+            P("6*x^6*y^2 - 2*x*y"),
+        )
+        assert milnor_foliation(germ) == 7
+        assert time.perf_counter() - start < 1.0
+
+    def test_check_bs_on_exact_form(self):
+        start = time.perf_counter()
+        f = P("-6*x^2*y^2 + x*y^3 + 7/2*x^3 - 1/4*x*y + 6*y^2")
+        report = check_briancon_skoda(
+            FoliationGerm(f.diff(0), f.diff(1)), BalancedEquation(CurveGerm(f))
+        )
+        assert report.data["mu"] == 1
+        assert report.data["member_normal_form"] is True
+        assert time.perf_counter() - start < 1.0

@@ -1,9 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_nonzero_poly, random_poly
+from conftest import random_nonzero_poly, random_poly, sympy_expr
 from folgerm.polynomials import (
     Poly,
     PolyParseError,
@@ -206,6 +207,33 @@ class TestDivisionAndGcd:
             assert divides(c, g) or divides(c.primitive(), g)
             assert divides(g, a * c)
             assert divides(g, b * c)
+
+    def test_gcd_properties_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        symbols = sympy.symbols("x y")
+        rng = random.Random(7)
+        # a polar of a corpus germ and the germ: rational contents that the
+        # remainder sequence must take out at every level
+        pairs = [(
+            P("-5/3*x^4 - 40/3*x^3*y + 12*x*y^3 + 6*y^4 - 27/2*y^2 + 5*y"),
+            P("-5/3*x^4*y + 3*x*y^4 - 9/2*y^3 + 5/2*y^2"),
+        )]
+        for degree in (5, 6, 7, 8):
+            for _ in range(3):
+                a, b, c = (
+                    random_nonzero_poly(rng, max_degree=d, max_terms=8, min_order=1)
+                    for d in (degree, degree, 2)
+                )
+                pairs.append((a, b))
+                pairs.append((a * c, b * c))
+        for a, b in pairs:
+            start = time.perf_counter()
+            g = poly_gcd(a, b)
+            assert time.perf_counter() - start < 2.0
+            u, v = try_exact_div(a, g), try_exact_div(b, g)
+            assert u is not None and v is not None
+            common = sympy.gcd(sympy_expr(u, symbols), sympy_expr(v, symbols))
+            assert not common.free_symbols
 
     def test_squarefree(self):
         assert is_squarefree(P("x*y*(x-y)"))

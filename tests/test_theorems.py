@@ -1,11 +1,17 @@
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import random_nonzero_poly
 from folgerm.germs import BalancedEquation, CurveGerm, FoliationGerm
-from folgerm.polynomials import is_squarefree, parse_poly
+from folgerm import theorems
+from folgerm.localalg import EngineInconsistencyError
+from folgerm.polynomials import Poly, is_squarefree, parse_poly
 from folgerm.theorems import (
     FAIL,
     NOT_APPLICABLE,
@@ -94,6 +100,35 @@ class TestBrianconSkoda:
             assert report.verdict == PASS, str(b.zero)
 
 
+    def test_disagreeing_routes_raise(self, monkeypatch):
+        monkeypatch.setattr(theorems, "normal_form", lambda p, sb: Poly.constant(2, 1))
+        with pytest.raises(EngineInconsistencyError, match="routes disagree"):
+            check_briancon_skoda(radial(), RADIAL_B)
+
+    def test_disagreeing_routes_raise_under_optimize(self):
+        script = (
+            "import sys\n"
+            "from folgerm import theorems\n"
+            "from folgerm.germs import BalancedEquation, CurveGerm, FoliationGerm\n"
+            "from folgerm.localalg import EngineInconsistencyError\n"
+            "from folgerm.polynomials import Poly, parse_poly\n"
+            "P = lambda text: parse_poly(text, 2)\n"
+            "theorems.normal_form = lambda p, sb: Poly.constant(2, 1)\n"
+            "try:\n"
+            "    theorems.check_briancon_skoda(FoliationGerm(P('-y'), P('x')),\n"
+            "        BalancedEquation(CurveGerm(P('x*y*(x-y)'))))\n"
+            "except EngineInconsistencyError:\n"
+            "    print('raised', sys.flags.optimize)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": str(src)},
+        )
+        assert done.stdout == "raised 1\n", done.stderr
+
+
 class TestKernelIdentity:
     def test_radial(self):
         report = check_kernel_identity(radial(), RADIAL_B.zero)
@@ -158,6 +193,15 @@ class TestCota:
         assert not report.data["semihomogeneous"]
         assert "equality_expected" not in report.data
         assert report.data["nu_squared"] == 1
+
+    def test_polar_gcd_with_rational_content(self):
+        start = time.perf_counter()
+        f = P("-5/3*x^4*y + 3*x*y^4 - 9/2*y^3 + 5/2*y^2")
+        report = check_cota(
+            FoliationGerm(f.diff(0), f.diff(1)), BalancedEquation(CurveGerm(f))
+        )
+        assert report.verdict == PASS
+        assert time.perf_counter() - start < 2.0
 
     def test_fk5_not_applicable(self):
         report = check_cota(fk(5), FK_B)
