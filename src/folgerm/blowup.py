@@ -261,6 +261,10 @@ def rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], Poly, bool]:
         if Fraction(0) not in roots:
             roots.append(Fraction(0))
         work.pop(0)
+    if len(work) == 2:
+        # a linear residual has its root in hand, whatever its coefficients
+        roots.append(-Fraction(work[0]) / work[1])
+        work = _deflate(work, roots[-1])
     if len(work) > 1:
         scale = math.lcm(*(c.denominator for c in work))
         ints = [int(c * scale) for c in work]

@@ -38,7 +38,6 @@ from .germs import (
     probe_pencil,
     tangency_excess,
     tjurina_foliation,
-    validate_balanced,
 )
 from .localalg import TruncationError, stabilized_macaulay_dim
 from .projective import check_form, check_global_bound, validate_form
@@ -166,7 +165,7 @@ def _cmd_invariants(problem, args) -> CheckReport:
         )
     if problem.divisor is not None:
         b = problem.divisor
-        validate_balanced(germ, b)
+        xi = tangency_excess(germ, b)
         data["nu_zero"] = b.zero.order
         data["nu_pole"] = b.pole.order if b.pole is not None else 0
         data["nu_signed"] = b.signed_multiplicity
@@ -183,7 +182,6 @@ def _cmd_invariants(problem, args) -> CheckReport:
                 b.zero.poly, b.pole.poly
             )
         delta = excess_polar(germ, b, polar=cert.polar)
-        xi = tangency_excess(germ, b)
         data["delta"] = delta
         data["xi"] = xi
         data["generalized_curve"] = delta == 0

@@ -1,57 +1,52 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on sparse integer rows.
 
-Two elimination routes, kept deliberately separate: a dense fraction-free
-(Bareiss) rank for operator matrices, and a sparse integer elimination with
-row-content removal for the large truncated-monomial matrices.  Kernels are
-computed by plain Gauss-Jordan over ``Fraction``.
+A vector is either a dense sequence of entries or a sparse mapping
+{column index: entry}, with int or ``Fraction`` entries; a matrix is a list
+of row vectors.  Every routine clears the denominators of each row and runs
+the one elimination here, ``sparse_int_echelon``: fraction-free
+cross-multiplication in the spirit of Bareiss (Math. Comp. 1968), with the
+content of every new pivot row divided out.  Ranks count its pivot rows;
+kernels back-substitute from them.  Multiplication operators on local
+quotients and truncated Macaulay matrices are both mostly zero, so the
+elimination only ever holds nonzero entries; dense rows are read into that
+form and get their kernel vectors back as dense lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Sequence
+from math import gcd, lcm
+from typing import Mapping, Sequence
 
-Matrix = Sequence[Sequence[Fraction | int]]
-
-
-def _integer_rows(matrix: Matrix) -> list[list[int]]:
-    rows = []
-    for row in matrix:
-        scale = 1
-        for entry in row:
-            d = Fraction(entry).denominator
-            scale = scale * d // gcd(scale, d)
-        rows.append([int(Fraction(entry) * scale) for entry in row])
-    return rows
+Entry = Fraction | int
+Vector = Sequence[Entry] | Mapping[int, Entry]
+Matrix = Sequence[Vector]
 
 
-def bareiss_rank(matrix: Matrix) -> int:
-    """Rank via fraction-free Gaussian elimination on integer rows."""
-    rows = [r for r in _integer_rows(matrix) if any(r)]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    prev = 1
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot_row = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot_row is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            head = rows[i][col]
-            row = rows[i]
-            # the exact division by the previous pivot is what keeps entries small
-            for j in range(col, ncols):
-                row[j] = (pivot * row[j] - head * rows[rank][j]) // prev
-        prev = pivot
-        rank += 1
-        col += 1
-    return rank
+def _integer_row(row: Vector) -> dict[int, int]:
+    """The nonzero entries of ``row`` times the lcm of their denominators."""
+    items = row.items() if isinstance(row, Mapping) else enumerate(row)
+    entries = [(c, v) for c, v in items if v]
+    scale = lcm(*(v.denominator for _, v in entries))
+    return {c: int(v * scale) for c, v in entries}
+
+
+def _cancel(row: dict[int, int], pivot_row: dict[int, int], col: int) -> dict[int, int]:
+    """pivot_row[col] * row - row[col] * pivot_row: column ``col`` drops out."""
+    a, b = pivot_row[col], row[col]
+    merged = {c: a * v for c, v in row.items()}
+    for c, v in pivot_row.items():
+        value = merged.get(c, 0) - b * v
+        if value:
+            merged[c] = value
+        else:
+            merged.pop(c, None)
+    return merged
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    return {c: v // g for c, v in row.items()}
 
 
 def sparse_int_echelon(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
@@ -64,28 +59,13 @@ def sparse_int_echelon(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        current = dict(row)
+        current = row
         while current:
             col = min(current)
             if col not in pivots:
-                g = 0
-                for value in current.values():
-                    g = gcd(g, value)
-                pivots[col] = {c: v // g for c, v in current.items()}
+                pivots[col] = _primitive(current)
                 break
-            pivot_row = pivots[col]
-            a = pivot_row[col]
-            b = current[col]
-            merged: dict[int, int] = {}
-            for c, v in current.items():
-                merged[c] = a * v
-            for c, v in pivot_row.items():
-                value = merged.get(c, 0) - b * v
-                if value:
-                    merged[c] = value
-                else:
-                    merged.pop(c, None)
-            current = merged
+            current = _cancel(current, pivots[col], col)
     return pivots
 
 
@@ -94,61 +74,56 @@ def sparse_int_rank(rows: list[dict[int, int]]) -> int:
     return len(sparse_int_echelon(rows))
 
 
-def rref(matrix: Matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    rows = [[Fraction(e) for e in row] for row in matrix]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    lead = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(lead, len(rows)) if rows[i][col]), None)
-        if pivot_row is None:
-            continue
-        rows[lead], rows[pivot_row] = rows[pivot_row], rows[lead]
-        scale = rows[lead][col]
-        rows[lead] = [e / scale for e in rows[lead]]
-        for i in range(len(rows)):
-            if i != lead and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [e - factor * p for e, p in zip(rows[i], rows[lead])]
-        pivots.append(col)
-        lead += 1
-        if lead == len(rows):
-            break
-    return rows, pivots
+def bareiss_rank(matrix: Matrix) -> int:
+    """Rank of the rows of ``matrix``, by fraction-free sparse elimination."""
+    return sparse_int_rank([_integer_row(row) for row in matrix])
 
 
-def kernel_basis(matrix: Matrix, ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right kernel {v : M v = 0}, deterministic order."""
-    rows = [list(row) for row in matrix]
+def _reduced_echelon(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Clear every pivot column from the other pivot rows, fraction-free.
+
+    A reduced row is nonzero only at its own pivot and at non-pivot columns,
+    so clearing one pivot column never brings another one back.
+    """
+    reduced: dict[int, dict[int, int]] = {}
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        for p in [c for c in row if c != col and c in reduced]:
+            row = _cancel(row, reduced[p], p)
+        reduced[col] = _primitive(row)
+    return reduced
+
+
+def kernel_basis(matrix: Matrix, ncols: int | None = None) -> list:
+    """Basis of the right kernel {v : M v = 0}, deterministic order.
+
+    One vector per non-pivot column f, in increasing f: 1 at f, 0 at the
+    other non-pivot columns, and the pivot coordinates back-substituted from
+    the reduced echelon rows.  The pivot columns of a row space do not depend
+    on how it is eliminated, so this is the basis that reduced row echelon
+    form over ``Fraction`` gives.  Sparse rows give sparse vectors
+    ({column: entry}); dense rows, or none, give dense lists.
+    """
+    sparse = bool(matrix) and isinstance(matrix[0], Mapping)
     if ncols is None:
-        if not rows:
+        if not matrix or sparse:
             raise ValueError("cannot infer the number of columns")
-        ncols = len(rows[0])
-    reduced, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vector = [Fraction(0)] * ncols
-        vector[f] = Fraction(1)
-        for row_index, p in enumerate(pivots):
-            vector[p] = -reduced[row_index][f]
-        basis.append(vector)
-    return basis
+        ncols = len(matrix[0])
+    reduced = _reduced_echelon(sparse_int_echelon([_integer_row(r) for r in matrix]))
+    vectors = {f: {f: Fraction(1)} for f in range(ncols) if f not in reduced}
+    for p, row in reduced.items():
+        lead = row[p]
+        for c, v in row.items():
+            if c != p:
+                vectors[c][p] = Fraction(-v, lead)
+    if sparse:
+        return list(vectors.values())
+    return [[v.get(c, Fraction(0)) for c in range(ncols)] for v in vectors.values()]
 
 
 def column_space_equal(a: Matrix, b: Matrix) -> bool:
-    """Whether two sets of columns (as row-lists of columns) span the same space.
-
-    Both arguments are lists of vectors (each vector a list of entries).
-    """
-    va = [list(v) for v in a]
-    vb = [list(v) for v in b]
-    ra = bareiss_rank(va) if va else 0
-    rb = bareiss_rank(vb) if vb else 0
-    if ra != rb:
+    """Whether two lists of vectors span the same space."""
+    ra = bareiss_rank(a)
+    if ra != bareiss_rank(b):
         return False
-    stacked = va + vb
-    return (bareiss_rank(stacked) if stacked else 0) == ra
+    return bareiss_rank(list(a) + list(b)) == ra

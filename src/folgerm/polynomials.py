@@ -228,14 +228,20 @@ class Poly:
             for _ in range(max(top, 0)):
                 cache.append(cache[-1] * base[i])
             powers.append(cache)
-        total = Poly.zero(nvars_out)
+        # summed in one dict: adding Polys would copy the running total per term
+        total: dict[Monomial, Fraction] = {}
         for monomial, coeff in self._terms.items():
             term = Poly.constant(nvars_out, coeff)
             for i, e in enumerate(monomial):
                 if e:
                     term = term * powers[i][e]
-            total = total + term
-        return total
+            for m, c in term._terms.items():
+                value = total.get(m, 0) + c
+                if value:
+                    total[m] = value
+                else:
+                    total.pop(m, None)
+        return Poly(nvars_out, total)
 
     def shift(self, offsets: Iterable[Fraction | int]) -> Poly:
         """Translate: substitute ``x_i + offset_i`` for each variable."""

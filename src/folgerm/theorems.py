@@ -26,12 +26,10 @@ from .germs import (
     excess_polar,
     generic_polar,
     intersection_multiplicity,
-    is_second_type,
     is_semihomogeneous,
     multiplicity,
     tangency_excess,
     tjurina_foliation,
-    validate_balanced,
 )
 from .linalg import bareiss_rank, column_space_equal, kernel_basis
 from .localalg import (
@@ -78,11 +76,6 @@ def _quotient(f: FoliationGerm):
     return sb, mu
 
 
-def _image_columns(matrix) -> list[list]:
-    n = len(matrix)
-    return [[matrix[i][j] for i in range(n)] for j in range(n)]
-
-
 def check_briancon_skoda(f: FoliationGerm, b: BalancedEquation) -> CheckReport:
     """Does the squared zero divisor lie in the ideal of the germ components?
 
@@ -92,26 +85,20 @@ def check_briancon_skoda(f: FoliationGerm, b: BalancedEquation) -> CheckReport:
     agree; the verdict reflects the membership itself.  The second-type flag
     is reported because the statement is only guaranteed under it.
     """
-    validate_balanced(f, b)
+    xi = tangency_excess(f, b)
     sb, mu = _quotient(f)
     g = b.zero.poly
     member_nf = normal_form(g * g, sb).is_zero
     sigma = mult_operator(sb, g)
     member_op = sigma.compose(sigma).is_zero()
-    n = sigma.dimension
-    if n == 0:
-        member_sub = True
-    else:
-        kernel = kernel_basis(sigma.matrix, ncols=n)
-        image = _image_columns(sigma.matrix)
-        base = bareiss_rank(kernel) if kernel else 0
-        member_sub = bareiss_rank(kernel + image) == base
+    kernel = kernel_basis(sigma.rows, ncols=sigma.dimension)
+    member_sub = bareiss_rank(kernel + list(sigma.columns)) == len(kernel)
     if not member_nf == member_op == member_sub:
         raise EngineInconsistencyError(
             f"membership routes disagree: normal form {member_nf}, "
             f"operator square {member_op}, image in kernel {member_sub}"
         )
-    second = is_second_type(f, b)
+    second = xi == 0
     report = CheckReport(
         name="check-bs",
         verdict=_verdict(member_nf),
@@ -168,10 +155,8 @@ def check_liu(f: FoliationGerm, b: BalancedEquation) -> CheckReport:
             notes=["germ is not of second type"],
         )
     sigma = mult_operator(sb, b.zero.poly)
-    n = sigma.dimension
-    kernel = kernel_basis(sigma.matrix, ncols=n) if n else []
-    image = _image_columns(sigma.matrix)
-    kernel_is_image = column_space_equal(kernel, image)
+    kernel = kernel_basis(sigma.rows, ncols=sigma.dimension)
+    kernel_is_image = column_space_equal(kernel, sigma.columns)
     sandwich = tau <= mu <= 2 * tau
     equality = (mu == 2 * tau) == kernel_is_image
     data["sandwich"] = sandwich

@@ -118,6 +118,21 @@ class TestRationalRoots:
         assert residual == P("y^2 - 2")
         assert certified
 
+    def test_linear_residual_beyond_trial_division(self):
+        # the residual factor of the (P, Q) in test_cli's linear-root regression
+        roots, residual, certified = rational_roots(
+            [Fraction(-7917120512), Fraction(111964521321)]
+        )
+        assert roots == [Fraction(7917120512, 111964521321)]
+        assert residual.total_degree() == 0
+        assert certified
+
+    def test_linear_after_zero_roots(self):
+        roots, residual, certified = rational_roots([0, 0, Fraction(3, 4), 2])
+        assert roots == [Fraction(-3, 8), Fraction(0)]
+        assert residual.total_degree() == 0
+        assert certified
+
 
 class TestReduction:
     def test_radial(self):

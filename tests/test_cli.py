@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -154,6 +155,41 @@ class TestLocalCommands:
         assert code == 0
         report = parse_document(out)
         assert report["data"]["blowups"] == "2"
+
+    @pytest.mark.parametrize(
+        "P, Q, blowups",
+        [
+            # a singular point at y = 7917120512/111964521321 on a chart
+            ("-9*x^5 + 3/2*x^2*y^2 + 8*y^2 + 7/3*x", "-5/2*x*y", "17"),
+            # a singular point at y = 20605498225/123100128 on a chart
+            ("-3*x^4 + y^4 + 4*x*y^2 + 4/3*x*y", "-x^3 + 5/2*x^2", "15"),
+        ],
+    )
+    def test_reduce_certifies_a_linear_residual(self, capsys, tmp_path, P, Q, blowups):
+        doc = tmp_path / "linear_root.fol"
+        doc.write_text(f"[foliation]\nP = {P}\nQ = {Q}\n")
+        code, out, _ = run(capsys, "reduce", doc)
+        assert code == 0
+        report = parse_document(out)
+        assert report["report"]["verdict"] == "pass"
+        assert report["data"]["blowups"] == blowups
+
+    def test_check_bs_fk8_in_two_seconds(self, capsys, tmp_path):
+        k = 8
+        doc = tmp_path / "fk8.fol"
+        doc.write_text(
+            "[foliation]\n"
+            f"P = y*(2*x^{2 * k - 2}+4*x^2*y^{k - 2}-y^{k - 1})\n"
+            f"Q = x*(y^{k - 1}-2*x^2*y^{k - 2}-x^{2 * k - 2})\n"
+            "[divisor]\nzero = x*y\n"
+        )
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "check-bs", doc)
+        assert time.perf_counter() - start < 2.0
+        assert code == 1
+        report = parse_document(out)
+        assert report["report"]["verdict"] == "fail"
+        assert report["data"]["mu"] == str(k * (2 * k - 1))
 
     def test_reduce_blowup_limit(self, capsys):
         code, out, _ = run(
