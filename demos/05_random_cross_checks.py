@@ -6,9 +6,11 @@ Two of the engine's load-bearing identities are cheap to stress with
 random input, so this script does exactly that, with a fixed seed so a
 rerun reproduces the same corpus.
 
-First: the dimension of a finite quotient ring computed from a standard
-basis staircase must agree with the rank count of truncated power-series
-(Macaulay) matrices -- two algorithms with no shared code path.
+First: the dimension of a finite quotient ring read off the certified
+staircase must agree with the rank count of truncated power-series
+(Macaulay) matrices taken on a second truncation schedule.  Both read the
+same Macaulay rows, so this checks the Nakayama certificate and the
+schedule, not two independent engines.
 
 Second: for an exact form df the multiplication by f on the Milnor
 algebra squares to zero, its kernel has dimension tau and its rank is
@@ -23,7 +25,6 @@ from folgerm import (
     CurveGerm,
     FoliationGerm,
     milnor_foliation,
-    quotient_dim,
     stabilized_macaulay_dim,
     standard_basis,
     tjurina_foliation,
@@ -52,7 +53,7 @@ agreements, skipped = 0, 0
 while agreements < 25:
     p = random_poly(rng, 5, 6, 1)
     q = random_poly(rng, 5, 6, 1)
-    dim = quotient_dim(standard_basis([p, q]))
+    dim = standard_basis([p, q]).quotient_dim()
     if dim is None:
         skipped += 1
         continue

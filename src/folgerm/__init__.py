@@ -41,7 +41,6 @@ from .germs import (
 from .localalg import (
     EngineInconsistencyError,
     TruncationError,
-    quotient_dim,
     stabilized_macaulay_dim,
     standard_basis,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "multiplicity",
     "parse_document",
     "parse_poly",
-    "quotient_dim",
     "reduce_germ",
     "render_document",
     "singular_points",

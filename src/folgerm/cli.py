@@ -29,21 +29,13 @@ from .documents import (
     parse_document,
     render_document,
 )
-from .germs import (
-    excess_polar,
-    generic_polar,
-    intersection_multiplicity,
-    milnor_foliation,
-    multiplicity,
-    probe_pencil,
-    tangency_excess,
-    tjurina_foliation,
-)
+from .germs import divisor_invariants, milnor_foliation, multiplicity, probe_pencil
 from .localalg import TruncationError, stabilized_macaulay_dim
 from .projective import check_form, check_global_bound, validate_form
 from .theorems import (
     FAIL,
     PASS,
+    POLAR_NOTE,
     CheckReport,
     check_briancon_skoda,
     check_cota,
@@ -165,29 +157,22 @@ def _cmd_invariants(problem, args) -> CheckReport:
         )
     if problem.divisor is not None:
         b = problem.divisor
-        xi = tangency_excess(germ, b)
+        inv = divisor_invariants(germ, b, probe_pencil(args.probes))
         data["nu_zero"] = b.zero.order
         data["nu_pole"] = b.pole.order if b.pole is not None else 0
         data["nu_signed"] = b.signed_multiplicity
-        data["tau"] = tjurina_foliation(germ, b.zero)
-        against = [b.zero] + ([b.pole] if b.pole is not None else [])
-        cert = generic_polar(germ, probe_pencil(args.probes), against=against)
-        data["polar_probe"] = list(cert.probe)
-        data["polar_certified"] = cert.certified
+        data["tau"] = inv.tau
+        data["polar_probe"] = list(inv.polar.probe)
+        data["polar_certified"] = inv.polar.certified
         if b.pole is not None:
-            data["i_polar_pole"] = intersection_multiplicity(
-                cert.polar.poly, b.pole.poly
-            )
-            data["i_zero_pole"] = intersection_multiplicity(
-                b.zero.poly, b.pole.poly
-            )
-        delta = excess_polar(germ, b, polar=cert.polar)
-        data["delta"] = delta
-        data["xi"] = xi
-        data["generalized_curve"] = delta == 0
-        data["second_type"] = xi == 0
-        if not cert.certified:
-            notes.append("polar genericity attained by a single probe only")
+            data["i_polar_pole"] = inv.polar.intersections[1]
+            data["i_zero_pole"] = inv.i_zero_pole
+        data["delta"] = inv.delta
+        data["xi"] = inv.xi
+        data["generalized_curve"] = inv.delta == 0
+        data["second_type"] = inv.xi == 0
+        if not inv.polar.certified:
+            notes.append(POLAR_NOTE)
     return CheckReport("invariants", verdict, data, notes)
 
 

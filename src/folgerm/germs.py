@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .localalg import quotient_dim, standard_basis
+from .localalg import EngineInconsistencyError, StandardBasis, standard_basis
 from .polynomials import Poly, divides, is_squarefree, poly_gcd
 
 DEFAULT_PROBES: tuple[tuple[int, int], ...] = (
@@ -154,16 +154,33 @@ def validate_balanced(f: FoliationGerm, b: BalancedEquation,
 
 
 def _finite_quotient(gens: Sequence[Poly], what: str) -> int:
-    sb = standard_basis(gens)
-    dim = quotient_dim(sb)
+    dim = standard_basis(gens).quotient_dim()
     if dim is None:
         raise NonIsolatedSingularityError(f"{what} is infinite")
     return dim
 
 
+def milnor_quotient(f: FoliationGerm) -> StandardBasis:
+    """The local quotient O/(P, Q) that mu and every check read.
+
+    Nonzero components were certified coprime when the germ was built, so
+    only a component that vanishes identically leaves it infinite.
+    """
+    sb = standard_basis([f.P, f.Q])
+    if sb.quotient_basis is None:
+        if f.P.is_zero or f.Q.is_zero:
+            raise NonIsolatedSingularityError(
+                "the Milnor number of the foliation is infinite"
+            )
+        raise EngineInconsistencyError(
+            "coprime components gave an infinite local quotient"
+        )
+    return sb
+
+
 def milnor_foliation(f: FoliationGerm) -> int:
     """dim of the local ring modulo (P, Q)."""
-    return _finite_quotient([f.P, f.Q], "the Milnor number of the foliation")
+    return milnor_quotient(f).quotient_dim()
 
 
 def milnor_curve(c: CurveGerm) -> int:
@@ -206,6 +223,7 @@ class PolarCertificate:
     probe: tuple[int, int]
     table: tuple[dict, ...]
     certified: bool
+    intersections: tuple[int, ...]  # i(polar, c) for each curve c in ``against``
 
 
 def generic_polar(
@@ -259,23 +277,8 @@ def generic_polar(
         probe=(a, b),
         table=tuple(rows),
         certified=count >= 2,
+        intersections=rows[best_index]["intersections"],
     )
-
-
-def excess_polar(f: FoliationGerm, b: BalancedEquation,
-                 polar: CurveGerm | None = None) -> int:
-    """Polar excess: i(polar, zero) + i(zero, pole) - mu(zero) - nu(zero) + 1.
-
-    Vanishes exactly on generalized curves.
-    """
-    if polar is None:
-        against = [b.zero] + ([b.pole] if b.pole is not None else [])
-        polar = generic_polar(f, against=against).polar
-    zero = b.zero.poly
-    total = intersection_multiplicity(polar.poly, zero)
-    if b.pole is not None:
-        total += intersection_multiplicity(zero, b.pole.poly)
-    return total - milnor_curve(b.zero) - b.zero.order + 1
 
 
 def tangency_excess(f: FoliationGerm, b: BalancedEquation) -> int:
@@ -289,6 +292,48 @@ def tangency_excess(f: FoliationGerm, b: BalancedEquation) -> int:
 
 def is_second_type(f: FoliationGerm, b: BalancedEquation) -> bool:
     return tangency_excess(f, b) == 0
+
+
+@dataclass(frozen=True)
+class DivisorInvariants:
+    """xi, tau, the polar, i(B0, Binf) and delta against a divisor B0 - Binf."""
+
+    xi: int
+    tau: int
+    polar: PolarCertificate
+    i_zero_pole: int
+    delta: int
+
+
+def divisor_invariants(
+    f: FoliationGerm,
+    b: BalancedEquation,
+    probes: Iterable[tuple[int, int]] = DEFAULT_PROBES,
+) -> DivisorInvariants:
+    """The divisor quantities of ``check_cota`` and the invariants report, once.
+
+    The polar is scored against B0 (and Binf); its certificate already holds
+    i(polar, B0), which the polar excess delta reads.  i(B0, Binf) is 0
+    without a pole.
+    """
+    xi = tangency_excess(f, b)
+    tau = tjurina_foliation(f, b.zero)
+    against = [b.zero] + ([b.pole] if b.pole is not None else [])
+    cert = generic_polar(f, probes, against=against)
+    i_zero_pole = 0
+    if b.pole is not None:
+        i_zero_pole = intersection_multiplicity(b.zero.poly, b.pole.poly)
+    delta = (cert.intersections[0] + i_zero_pole
+             - milnor_curve(b.zero) - b.zero.order + 1)
+    return DivisorInvariants(xi, tau, cert, i_zero_pole, delta)
+
+
+def excess_polar(f: FoliationGerm, b: BalancedEquation) -> int:
+    """Polar excess: i(polar, zero) + i(zero, pole) - mu(zero) - nu(zero) + 1.
+
+    Vanishes exactly on generalized curves.
+    """
+    return divisor_invariants(f, b).delta
 
 
 def gsv_index(f: FoliationGerm, c: CurveGerm) -> int:

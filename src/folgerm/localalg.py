@@ -24,17 +24,13 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .linalg import bareiss_rank, sparse_int_echelon
-from .polynomials import Monomial, Poly
+from .polynomials import EngineInconsistencyError, Monomial, Poly  # noqa: F401
 
 _MIN_TRUNCATION = 4
 
 
 class TruncationError(RuntimeError):
     """The truncation oracle failed to stabilize below the hard cap."""
-
-
-class EngineInconsistencyError(RuntimeError):
-    """Two exact routes to the same quantity disagreed."""
 
 
 def column_key(monomial: Monomial) -> tuple:
@@ -206,14 +202,6 @@ def standard_basis(gens: Iterable[Poly]) -> StandardBasis:
         if truncation > bezout:
             return StandardBasis(nvars, columns, pivots, None)
         truncation = min(truncation + truncation // 2, bezout + 1)
-
-
-def normal_form(p: Poly, sb: StandardBasis) -> Poly:
-    return sb.normal_form(p)
-
-
-def quotient_dim(sb: StandardBasis) -> int | None:
-    return sb.quotient_dim()
 
 
 class QuotientOperator:

@@ -21,6 +21,10 @@ Monomial = tuple[int, ...]
 VAR_NAMES = ("x", "y", "z")
 
 
+class EngineInconsistencyError(RuntimeError):
+    """An internal cross-check failed: two exact routes to one fact disagreed."""
+
+
 class PolyParseError(ValueError):
     """Raised on malformed polynomial text; carries the offending position."""
 
@@ -572,7 +576,8 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     ca, cb = content_in(a), content_in(b)
     f = try_exact_div(a, ca)
     g = try_exact_div(b, cb)
-    assert f is not None and g is not None
+    if f is None or g is None:
+        raise EngineInconsistencyError("a content does not divide its polynomial")
     if f.degree_in(var) < g.degree_in(var):
         f, g = g, f
     while not g.is_zero:
@@ -583,7 +588,10 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         else:
             cr = content_in(r)
             g = try_exact_div(r, cr)
-            assert g is not None
+            if g is None:
+                raise EngineInconsistencyError(
+                    "a content does not divide its pseudo-remainder"
+                )
             g = g.primitive()
     return (poly_gcd(ca, cb) * f).primitive()
 

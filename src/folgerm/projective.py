@@ -25,12 +25,13 @@ from .germs import (
     BalancedEquation,
     CurveGerm,
     FoliationGerm,
-    gsv_index,
     milnor_foliation,
     tangency_excess,
     tjurina_curve,
+    tjurina_foliation,
 )
 from .polynomials import (
+    EngineInconsistencyError,
     Poly,
     _pseudo_rem,
     dehomogenize,
@@ -202,7 +203,8 @@ def _affine_common_zeros(a: Poly, b: Poly) -> list[tuple[Fraction, Fraction]]:
     f, g = (a, b) if a.degree_in(1) >= b.degree_in(1) else (b, a)
     while g.degree_in(1) > 0:
         f, g = g, _pseudo_rem(f, g, 1)
-        assert not g.is_zero, "coprime pairs leave a nonzero eliminant"
+        if g.is_zero:
+            raise EngineInconsistencyError("a coprime pair left a zero eliminant")
     candidates, _, _ = rational_roots(_coeff_list(g, 0))
     points = []
     for x0 in sorted(candidates):
@@ -438,8 +440,10 @@ def check_global_bound(
         if on_curve:
             germ = chart_germ(form, point)
             local_curve = chart_curve(curve, point)
-            row["gsv"] = gsv_index(germ, local_curve)
-            row["tau"] = tjurina_curve(local_curve)
+            tau = tjurina_curve(local_curve)
+            # gsv_index, with the curve's Tjurina number computed once
+            row["gsv"] = tjurina_foliation(germ, local_curve) - tau
+            row["tau"] = tau
             gsv_sum += row["gsv"]
             tau_sum += row["tau"]
             try:

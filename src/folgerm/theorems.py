@@ -23,23 +23,17 @@ from .germs import (
     BalancedEquation,
     CurveGerm,
     FoliationGerm,
-    excess_polar,
-    generic_polar,
-    intersection_multiplicity,
+    divisor_invariants,
     is_semihomogeneous,
+    milnor_foliation,
+    milnor_quotient,
     multiplicity,
     tangency_excess,
     tjurina_foliation,
 )
 from .linalg import bareiss_rank, column_space_equal, kernel_basis
-from .localalg import (
-    EngineInconsistencyError,
-    kernel_rank,
-    mult_operator,
-    normal_form,
-    quotient_dim,
-    standard_basis,
-)
+from .localalg import EngineInconsistencyError, kernel_rank, mult_operator
+from .localalg import standard_basis  # noqa: F401  (bench/tests reads this binding)
 
 PASS = "pass"
 FAIL = "fail"
@@ -62,18 +56,11 @@ class CheckReport:
         return self.verdict == FAIL
 
 
+POLAR_NOTE = "polar genericity attained by a single probe only"
+
+
 def _verdict(ok: bool) -> str:
     return PASS if ok else FAIL
-
-
-def _quotient(f: FoliationGerm):
-    sb = standard_basis([f.P, f.Q])
-    mu = quotient_dim(sb)
-    if mu is None:
-        raise EngineInconsistencyError(
-            "coprime components gave an infinite local quotient"
-        )
-    return sb, mu
 
 
 def check_briancon_skoda(f: FoliationGerm, b: BalancedEquation) -> CheckReport:
@@ -86,9 +73,10 @@ def check_briancon_skoda(f: FoliationGerm, b: BalancedEquation) -> CheckReport:
     is reported because the statement is only guaranteed under it.
     """
     xi = tangency_excess(f, b)
-    sb, mu = _quotient(f)
+    sb = milnor_quotient(f)
+    mu = sb.quotient_dim()
     g = b.zero.poly
-    member_nf = normal_form(g * g, sb).is_zero
+    member_nf = sb.normal_form(g * g).is_zero
     sigma = mult_operator(sb, g)
     member_op = sigma.compose(sigma).is_zero()
     kernel = kernel_basis(sigma.rows, ncols=sigma.dimension)
@@ -120,7 +108,8 @@ def check_briancon_skoda(f: FoliationGerm, b: BalancedEquation) -> CheckReport:
 
 def check_kernel_identity(f: FoliationGerm, c: CurveGerm) -> CheckReport:
     """Kernel of multiplication by the curve has dimension tau, rank mu - tau."""
-    sb, mu = _quotient(f)
+    sb = milnor_quotient(f)
+    mu = sb.quotient_dim()
     sigma = mult_operator(sb, c.poly)
     kernel_dim, rank = kernel_rank(sigma)
     tau = tjurina_foliation(f, c)
@@ -144,7 +133,8 @@ def check_liu(f: FoliationGerm, b: BalancedEquation) -> CheckReport:
     is not applicable and only reports the numbers.
     """
     xi = tangency_excess(f, b)
-    sb, mu = _quotient(f)
+    sb = milnor_quotient(f)
+    mu = sb.quotient_dim()
     tau = tjurina_foliation(f, b.zero)
     data = {"mu": mu, "tau": tau, "xi": xi, "second_type": xi == 0}
     if xi != 0:
@@ -183,45 +173,35 @@ def check_cota(
     must be an equality.  With an empty pole the bound specialises to
     nu^2 <= mu and nu^2 <= 2*tau.
     """
-    xi = tangency_excess(f, b)
-    sb, mu = _quotient(f)
-    tau = tjurina_foliation(f, b.zero)
-    against = [b.zero] + ([b.pole] if b.pole is not None else [])
-    cert = generic_polar(f, probes, against=against)
-    nu0 = b.zero.order
-    nu_inf = b.pole.order if b.pole is not None else 0
+    mu = milnor_foliation(f)
+    inv = divisor_invariants(f, b, probes)
+    tau, cert = inv.tau, inv.polar
+    lhs = (b.zero.order - 1) ** 2 - inv.i_zero_pole
     if b.pole is not None:
-        i_polar_pole = intersection_multiplicity(cert.polar.poly, b.pole.poly)
-        i_zero_pole = intersection_multiplicity(b.zero.poly, b.pole.poly)
-    else:
-        i_polar_pole = 0
-        i_zero_pole = 0
-    lhs = (nu0 - 1) ** 2 + nu_inf - i_polar_pole - i_zero_pole
-    delta = excess_polar(f, b, polar=cert.polar)
-    generalized = delta == 0
+        lhs += b.pole.order - cert.intersections[1]
     semi = is_semihomogeneous(b.zero)
     data = {
         "lhs": lhs,
         "mu": mu,
         "two_tau": 2 * tau,
         "tau": tau,
-        "xi": xi,
-        "second_type": xi == 0,
-        "generalized_curve": generalized,
+        "xi": inv.xi,
+        "second_type": inv.xi == 0,
+        "generalized_curve": inv.delta == 0,
         "semihomogeneous": semi,
         "polar_probe": cert.probe,
         "polar_certified": cert.certified,
     }
     notes = []
     if not cert.certified:
-        notes.append("polar genericity attained by a single probe only")
-    if xi != 0:
+        notes.append(POLAR_NOTE)
+    if inv.xi != 0:
         notes.insert(0, "germ is not of second type")
         return CheckReport(
             name="check-cota", verdict=NOT_APPLICABLE, data=data, notes=notes
         )
     ok = lhs <= mu <= 2 * tau
-    if generalized and semi:
+    if inv.delta == 0 and semi:
         data["equality_expected"] = True
         ok = ok and lhs == mu
     if b.pole is None:

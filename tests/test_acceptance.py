@@ -29,7 +29,6 @@ from folgerm.germs import (
 from folgerm.localalg import (
     mult_operator,
     kernel_rank,
-    quotient_dim,
     stabilized_macaulay_dim,
     standard_basis,
 )
@@ -202,7 +201,7 @@ def test_criterion_5_standard_basis_vs_series_oracle(capsys):
             p = random_nonzero_poly(rng, max_degree=5, min_order=1)
             q = random_nonzero_poly(rng, max_degree=5, min_order=1)
             sb = standard_basis([p, q])
-            dim = quotient_dim(sb)
+            dim = sb.quotient_dim()
             if dim is None:
                 continue
             assert stabilized_macaulay_dim([p, q], cap=64) == dim
@@ -216,7 +215,7 @@ def test_criterion_6_operator_form(capsys):
     with criterion(capsys, 6, "multiplication operator squares to zero"):
         for germ, divisor in hamiltonian_corpus(1117, 10):
             sb = standard_basis([germ.P, germ.Q])
-            mu = quotient_dim(sb)
+            mu = sb.quotient_dim()
             assert mu is not None
             op = mult_operator(sb, divisor.zero.poly)
             assert op.compose(op).is_zero()

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from folgerm import cli, germs, theorems
 from folgerm.cli import main
 from folgerm.documents import (
     DocumentError,
@@ -15,6 +16,7 @@ from folgerm.documents import (
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+DIVISOR_FIXTURES = ("cusp.fol", "fk5.fol", "node.fol", "radial.fol")
 
 
 def run(capsys, *args):
@@ -348,9 +350,57 @@ class TestExitCodes:
         assert code == 2
         assert "curve" in err
 
+    @pytest.mark.parametrize(
+        "command", ["invariants", "check-bs", "check-liu", "check-cota"]
+    )
+    def test_non_isolated_singularity(self, capsys, tmp_path, command):
+        # P = 0 leaves O/(P, Q) infinite: an input error, not a failed check.
+        doc = tmp_path / "nonisolated.fol"
+        doc.write_text("[foliation]\nP = 0\nQ = x\n[divisor]\nzero = x\n")
+        code, out, err = run(capsys, command, doc)
+        assert code == 2
+        assert out == ""
+        assert err == "error: the Milnor number of the foliation is infinite\n"
+
     def test_ill_posed_germ(self, capsys, tmp_path):
         doc = tmp_path / "shared.fol"
         doc.write_text("[foliation]\nP = x*y\nQ = x^2\n")
         code, _, err = run(capsys, "invariants", doc)
         assert code == 2
         assert "common factor" in err
+
+
+class TestDivisorInvariants:
+    """``invariants`` and ``check-cota`` read one divisor block."""
+
+    @pytest.mark.parametrize(
+        "fixture, calls", [("radial.fol", 15), ("cusp.fol", 7)]
+    )
+    @pytest.mark.parametrize("command", ["invariants", "check-cota"])
+    def test_intersection_calls(self, capsys, monkeypatch, fixture, calls, command):
+        # 7 probes against zero (and pole), plus i(zero, pole) when there is a
+        # pole: the polar's own intersections come from its certificate.
+        original = germs.intersection_multiplicity
+        seen = []
+
+        def counted(f, g):
+            seen.append((f, g))
+            return original(f, g)
+
+        for module in (germs, theorems, cli):
+            if getattr(module, "intersection_multiplicity", None) is original:
+                monkeypatch.setattr(module, "intersection_multiplicity", counted)
+        code, _, _ = run(capsys, command, FIXTURES / fixture)
+        assert code == 0
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize("fixture", DIVISOR_FIXTURES)
+    def test_reports_agree(self, capsys, fixture):
+        reports = {}
+        for command in ("invariants", "check-cota"):
+            _, out, _ = run(capsys, command, FIXTURES / fixture, "--json")
+            reports[command] = json.loads(out)["data"]
+        keys = ("tau", "xi", "second_type", "polar_probe", "polar_certified",
+                "generalized_curve")
+        for key in keys:
+            assert reports["invariants"][key] == reports["check-cota"][key], key

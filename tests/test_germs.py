@@ -20,6 +20,7 @@ from folgerm.germs import (
     milnor_curve,
     milnor_foliation,
     multiplicity,
+    probe_pencil,
     tangency_excess,
     tjurina_curve,
     tjurina_foliation,
@@ -224,6 +225,27 @@ class TestGenericPolar:
         assert cert.polar.order == 1
         for row in cert.table:
             assert row["intersections"] == (3,)
+
+    def test_certificate_intersections_match_direct_calls(self):
+        # seeded corpus: df against f and a random curve through the origin
+        rng = random.Random(61)
+        done = 0
+        while done < 12:
+            f = random_nonzero_poly(rng, max_degree=4, max_terms=4, min_order=2)
+            g = random_nonzero_poly(rng, max_degree=3, max_terms=3, min_order=1)
+            try:
+                germ = FoliationGerm(f.diff(0), f.diff(1))
+                against = [CurveGerm(f), CurveGerm(g)]
+                cert = generic_polar(germ, probe_pencil(9), against=against)
+            except ValueError:
+                continue
+            direct = tuple(
+                intersection_multiplicity(cert.polar.poly, c.poly) for c in against
+            )
+            assert cert.intersections == direct
+            winner = [row for row in cert.table if row["probe"] == cert.probe]
+            assert winner[0]["intersections"] == direct
+            done += 1
 
     def test_degenerate_probe_is_scored_out(self):
         # P + Q shares the line x + y with the zero divisor for probe (1, 1).

@@ -18,8 +18,6 @@ from folgerm.localalg import (
     kernel_rank,
     macaulay_dim,
     mult_operator,
-    normal_form,
-    quotient_dim,
     stabilized_macaulay_dim,
     standard_basis,
 )
@@ -86,26 +84,26 @@ class TestStandardBasis:
         sb = standard_basis([P("x"), P("y")])
         assert sb.leading_ideal == ((1, 0), (0, 1))
         assert sb.quotient_basis == ((0, 0),)
-        assert quotient_dim(sb) == 1
+        assert sb.quotient_dim() == 1
 
     def test_unit_factor_is_invisible_locally(self):
         sb = standard_basis([P("x - x^2"), P("y")])
         assert sb.leading_ideal == ((1, 0), (0, 1))
-        assert quotient_dim(sb) == 1
+        assert sb.quotient_dim() == 1
 
     def test_cusp_jacobian(self):
         sb = standard_basis([P("-3*x^2"), P("2*y")])
         assert sb.quotient_basis == ((0, 0), (1, 0))
-        assert quotient_dim(sb) == 2
+        assert sb.quotient_dim() == 2
 
     def test_infinite_quotient(self):
         sb = standard_basis([P("x")])
         assert sb.quotient_basis is None
-        assert quotient_dim(sb) is None
+        assert sb.quotient_dim() is None
 
     def test_unit_ideal(self):
         sb = standard_basis([P("1 + x")])
-        assert quotient_dim(sb) == 0
+        assert sb.quotient_dim() == 0
         assert sb.quotient_basis == ()
 
     def test_rejects_empty(self):
@@ -115,30 +113,30 @@ class TestStandardBasis:
     def test_fk5_tjurina_staircase(self):
         p, q = fk_components(5)
         sb = standard_basis([P("x*y"), p, q])
-        assert quotient_dim(sb) == 13
+        assert sb.quotient_dim() == 13
 
     def test_completion_example_needing_spolys(self):
         # (y^2 - x^3, x*y): x^4 and y^3 join the leading ideal only through
         # combinations of the generators.
         sb = standard_basis([P("y^2 - x^3"), P("x*y")])
         assert sb.leading_ideal == ((1, 1), (0, 2), (4, 0))
-        dim = quotient_dim(sb)
+        dim = sb.quotient_dim()
         assert dim == macaulay_dim([P("y^2 - x^3"), P("x*y")], 12)
 
 
 class TestNormalForm:
     def test_member_reduces_to_zero(self):
         sb = standard_basis([P("x"), P("y^2")])
-        assert normal_form(P("x^2 + y^3"), sb).is_zero
+        assert sb.normal_form(P("x^2 + y^3")).is_zero
 
     def test_radial_square_membership(self):
         sb = standard_basis([P("-y"), P("x")])
-        assert normal_form(P("(x*y*(x-y))^2"), sb).is_zero
+        assert sb.normal_form(P("(x*y*(x-y))^2")).is_zero
 
     def test_fk5_square_not_member(self):
         p, q = fk_components(5)
         sb = standard_basis([p, q])
-        assert not normal_form(P("(x*y)^2"), sb).is_zero
+        assert not sb.normal_form(P("(x*y)^2")).is_zero
 
     def test_normal_form_respects_ideal(self):
         rng = random.Random(11)
@@ -148,7 +146,7 @@ class TestNormalForm:
             member = z * P("y^2 - x^3") + random_nonzero_poly(rng, max_degree=2) * P(
                 "x*y"
             )
-            assert normal_form(member, sb).is_zero
+            assert sb.normal_form(member).is_zero
 
 
 class TestCanonicalCoordinates:
@@ -240,7 +238,7 @@ class TestMacaulayOracle:
                 sb = standard_basis([f, g])
             except ValueError:
                 continue
-            dim = quotient_dim(sb)
+            dim = sb.quotient_dim()
             if dim is None:
                 continue
             assert stabilized_macaulay_dim([f, g]) == dim
@@ -286,9 +284,9 @@ class TestSympyReference:
             if sb.quotient_basis is None:
                 continue
             n = sb.truncation
-            assert self.reference(sympy, [f, g], n + 1)[0] == quotient_dim(sb)
+            assert self.reference(sympy, [f, g], n + 1)[0] == sb.quotient_dim()
             dim, basis = self.reference(sympy, [f, g], n)
-            assert dim == quotient_dim(sb)
+            assert dim == sb.quotient_dim()
             h = random_nonzero_poly(divisors, max_degree=2, min_order=1)
             member = basis.contains(sympy_expr(h * h, (x, y)))
             assert member == sb.contains(h * h)

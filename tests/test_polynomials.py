@@ -1,10 +1,15 @@
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import random_nonzero_poly, random_poly, sympy_expr
+from folgerm import polynomials, projective
+from folgerm.localalg import EngineInconsistencyError
 from folgerm.polynomials import (
     Poly,
     PolyParseError,
@@ -240,3 +245,58 @@ class TestDivisionAndGcd:
         assert not is_squarefree(P("y^2"))
         assert not is_squarefree(P("(x+y)^2*(x-y)"))
         assert is_squarefree(P("y^2 - x^3"))
+
+
+class TestEngineInconsistency:
+    """Cross-checks inside the gcd and the eliminant raise, also under -O."""
+
+    def test_content_not_dividing_input(self, monkeypatch):
+        monkeypatch.setattr(polynomials, "try_exact_div", lambda p, q: None)
+        with pytest.raises(EngineInconsistencyError, match="its polynomial"):
+            poly_gcd(P("y^2 + x"), P("y + 1"))
+
+    def test_content_not_dividing_remainder(self, monkeypatch):
+        # the pseudo-remainder of y^2 + x by y + 1 in y is x + 1
+        original = polynomials.try_exact_div
+        monkeypatch.setattr(
+            polynomials,
+            "try_exact_div",
+            lambda p, q: None if p == P("x + 1") else original(p, q),
+        )
+        with pytest.raises(EngineInconsistencyError, match="pseudo-remainder"):
+            poly_gcd(P("y^2 + x"), P("y + 1"))
+
+    def test_zero_eliminant(self, monkeypatch):
+        monkeypatch.setattr(projective, "_pseudo_rem", lambda f, g, var: Poly.zero(2))
+        with pytest.raises(EngineInconsistencyError, match="zero eliminant"):
+            projective._affine_common_zeros(P("y - x"), P("y + x"))
+
+    def test_raise_under_optimize(self):
+        script = (
+            "import sys\n"
+            "from folgerm import polynomials, projective\n"
+            "from folgerm.localalg import EngineInconsistencyError\n"
+            "from folgerm.polynomials import Poly, parse_poly\n"
+            "P = lambda text: parse_poly(text, 2)\n"
+            "exact = polynomials.try_exact_div\n"
+            "def attempt(call):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except EngineInconsistencyError:\n"
+            "        print('raised', sys.flags.optimize)\n"
+            "polynomials.try_exact_div = lambda p, q: None\n"
+            "attempt(lambda: polynomials.poly_gcd(P('y^2 + x'), P('y + 1')))\n"
+            "polynomials.try_exact_div = (\n"
+            "    lambda p, q: None if p == P('x + 1') else exact(p, q))\n"
+            "attempt(lambda: polynomials.poly_gcd(P('y^2 + x'), P('y + 1')))\n"
+            "polynomials.try_exact_div = exact\n"
+            "projective._pseudo_rem = lambda f, g, var: Poly.zero(2)\n"
+            "attempt(lambda: projective._affine_common_zeros(P('y - x'), P('y + x')))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, timeout=60,
+            env={"PYTHONPATH": str(src)},
+        )
+        assert done.stdout == "raised 1\n" * 3, done.stderr

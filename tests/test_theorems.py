@@ -9,8 +9,7 @@ import pytest
 
 from conftest import random_nonzero_poly
 from folgerm.germs import BalancedEquation, CurveGerm, FoliationGerm
-from folgerm import theorems
-from folgerm.localalg import EngineInconsistencyError
+from folgerm.localalg import EngineInconsistencyError, StandardBasis
 from folgerm.polynomials import Poly, is_squarefree, parse_poly
 from folgerm.theorems import (
     FAIL,
@@ -101,7 +100,9 @@ class TestBrianconSkoda:
 
 
     def test_disagreeing_routes_raise(self, monkeypatch):
-        monkeypatch.setattr(theorems, "normal_form", lambda p, sb: Poly.constant(2, 1))
+        monkeypatch.setattr(
+            StandardBasis, "normal_form", lambda self, p: Poly.constant(2, 1)
+        )
         with pytest.raises(EngineInconsistencyError, match="routes disagree"):
             check_briancon_skoda(radial(), RADIAL_B)
 
@@ -110,10 +111,10 @@ class TestBrianconSkoda:
             "import sys\n"
             "from folgerm import theorems\n"
             "from folgerm.germs import BalancedEquation, CurveGerm, FoliationGerm\n"
-            "from folgerm.localalg import EngineInconsistencyError\n"
+            "from folgerm.localalg import EngineInconsistencyError, StandardBasis\n"
             "from folgerm.polynomials import Poly, parse_poly\n"
             "P = lambda text: parse_poly(text, 2)\n"
-            "theorems.normal_form = lambda p, sb: Poly.constant(2, 1)\n"
+            "StandardBasis.normal_form = lambda self, p: Poly.constant(2, 1)\n"
             "try:\n"
             "    theorems.check_briancon_skoda(FoliationGerm(P('-y'), P('x')),\n"
             "        BalancedEquation(CurveGerm(P('x*y*(x-y)'))))\n"
