@@ -18,37 +18,38 @@ transform is in one of the final positions: a nondegenerate singularity whose
 eigenvalue ratio is not a positive rational, a saddle-node, a regular point
 crossing a dicritical component transversally, or a clean corner.  Singular
 points are located as rational roots of a one-variable polynomial along the
-exceptional line; a root that is not rational cannot be carried further in
-exact arithmetic and aborts the run with the offending residual factor.
+exceptional line.  The root search lifts the roots modulo a small prime
+p-adically (Loos's method) and has no budget, so it finds every rational
+root; a root that is not rational cannot be carried further in exact
+arithmetic and aborts the run with the offending residual factor.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .germs import require_isolated
 from .localalg import EngineInconsistencyError
-from .polynomials import Poly
+from .polynomials import Poly, poly_gcd, try_exact_div
 
 MAX_BLOWUPS_DEFAULT = 24
 
 
 class IrrationalSingularPointError(ValueError):
-    """A point that must be blown up has no usable rational coordinates.
+    """A point that must be blown up has an irrational coordinate.
 
-    ``certified`` is True when the residual factor provably has no rational
-    root, and False when locating its roots exceeded the factoring budget.
+    The root search along the exceptional line is complete (see
+    ``rational_roots``), so the residual provably has no rational root.
     """
 
-    def __init__(self, residual: Poly, certified: bool = True):
+    def __init__(self, residual: Poly):
         self.residual = residual
-        self.certified = certified
-        if certified:
-            detail = "singular point with irrational coordinate"
-        else:
-            detail = "could not certify rational coordinates within budget"
-        super().__init__(f"{detail}; residual factor {residual}")
+        super().__init__(
+            f"singular point with irrational coordinate; residual factor {residual}"
+        )
 
 
 class BlowupLimitError(RuntimeError):
@@ -194,41 +195,17 @@ def classify_point(P: Poly, Q: Poly) -> PointClassification:
 # rational roots along the exceptional line
 
 
-_TRIAL_LIMIT = 200_000
-_CANDIDATE_LIMIT = 4_000
-
-
-class _RootBudgetError(Exception):
-    """Coefficients grew past what trial division can factor quickly."""
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    i = 1
-    while i * i <= n:
-        if i > _TRIAL_LIMIT:
-            raise _RootBudgetError
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return out
-
-
 def _restrict_to_line(p: Poly) -> list[Fraction]:
     """Coefficients of ``p(0, t)`` by power of ``t``."""
-    q = p.substitute({0: Poly.zero(2)})
-    coeffs = [Fraction(0)] * (q.degree_in(1) + 1)
-    for mono, c in q.items():
-        coeffs[mono[1]] += c
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
+    coeffs = [Fraction(0)] * (max(p.degree_in(1), 0) + 1)
+    for (i, j), c in p.items():
+        if i == 0:
+            coeffs[j] += c
     return coeffs
 
 
-def _horner(coeffs: list[Fraction], value: Fraction) -> Fraction:
+def horner(coeffs: list[Fraction], value: Fraction) -> Fraction:
+    """The value at ``value`` of the polynomial with these coefficients."""
     acc = Fraction(0)
     for c in reversed(coeffs):
         acc = acc * value + c
@@ -244,52 +221,73 @@ def _deflate(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
     return out
 
 
-def rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], Poly, bool]:
-    """All rational roots (each listed once), the residual, and a certificate.
+def _eval_mod(coeffs: list[int], value: int, modulus: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * value + c) % modulus
+    return acc
 
-    The residual is returned as a primitive polynomial in ``y``.  The final
-    flag is True when the residual provably has no rational root; it is False
-    when the root search ran out of factoring budget, in which case the
-    residual may still contain rational roots that were not located.
+
+def rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], Poly, bool]:
+    """All rational roots (each listed once), the residual, and ``True``.
+
+    The residual is the input with every rational root divided out to its
+    full multiplicity, as a primitive polynomial in ``y``; it has no rational
+    root.  The search is Loos's p-adic method (SIAM J. Comput. 12, 1983),
+    complete and with no budget:
+
+    * zero roots are stripped; s is the integer-primitive squarefree part of
+      the rest, which is the rest itself when it is linear or a quadratic
+      with nonzero discriminant, and else the rest over its gcd with s';
+    * p is the first prime not dividing lc(s) at which every root of s mod p
+      (s evaluated at 0, ..., p - 1) is simple; each is lifted by Newton
+      iteration until ``p**k > 2*|lc(s)|*|s(0)|``, and u = lc(s)*r mod p**k,
+      read in the symmetric range, gives u/lc(s), kept if it is a root.
+
+    No root is missed: a root a/b in lowest terms has b | lc(s) and
+    |a| <= |s(0)|, its image mod p is a simple root with a unique lift, and
+    the symmetric range recovers the integer lc(s)*a/b.  The prime loop ends:
+    it skips only primes dividing lc(s) or disc(s), nonzero as s is
+    squarefree.  The third item is always ``True`` (the benchmark reads it).
     """
     work = list(coeffs)
     while len(work) > 1 and work[-1] == 0:
         work.pop()
     roots = []
-    certified = True
     while len(work) > 1 and work[0] == 0:
-        if Fraction(0) not in roots:
-            roots.append(Fraction(0))
+        roots = [Fraction(0)]
         work.pop(0)
-    if len(work) == 2:
-        # a linear residual has its root in hand, whatever its coefficients
-        roots.append(-Fraction(work[0]) / work[1])
-        work = _deflate(work, roots[-1])
     if len(work) > 1:
         scale = math.lcm(*(c.denominator for c in work))
-        ints = [int(c * scale) for c in work]
-        g = math.gcd(*ints)
-        ints = [c // g for c in ints]
-        try:
-            candidates = set()
-            for p in _divisors(ints[0]):
-                for q in _divisors(ints[-1]):
-                    candidates.add(Fraction(p, q))
-                    candidates.add(Fraction(-p, q))
-            if len(candidates) > _CANDIDATE_LIMIT:
-                raise _RootBudgetError
-            for cand in sorted(candidates):
-                while len(work) > 1 and _horner(work, cand) == 0:
-                    if cand not in roots:
-                        roots.append(cand)
-                    work = _deflate(work, cand)
-        except _RootBudgetError:
-            certified = False
-    residual = Poly(2, {(0, i): c for i, c in enumerate(work)})
-    residual = residual.primitive()
-    if len(work) <= 1:
-        certified = True
-    return sorted(roots), residual, certified
+        scale = Fraction(scale, math.gcd(*(c.numerator for c in work)))
+        s = [int(c * scale) for c in work]
+        if len(s) > 3 or len(s) == 3 and s[1] ** 2 == 4 * s[0] * s[2]:
+            f = Poly(2, {(0, i): c for i, c in enumerate(s)})
+            f = try_exact_div(f, poly_gcd(f, f.diff(1)))
+            if f is None:
+                raise EngineInconsistencyError("a gcd does not divide its polynomial")
+            f = f.primitive()
+            s = [int(f.coefficient((0, i))) for i in range(f.degree_in(1) + 1)]
+        lead, ds = s[-1], [i * c for i, c in enumerate(s)][1:]
+        for p in itertools.count(2):
+            if lead % p and all(p % q for q in range(2, math.isqrt(p) + 1)):
+                residues = [r for r in range(p) if _eval_mod(s, r, p) == 0]
+                if all(_eval_mod(ds, r, p) for r in residues):
+                    break
+        for r in residues:
+            modulus = p
+            while modulus <= 2 * abs(lead * s[0]):
+                modulus *= modulus
+                inverse = pow(_eval_mod(ds, r, modulus), -1, modulus)
+                r = (r - _eval_mod(s, r, modulus) * inverse) % modulus
+            u = lead * r % modulus
+            root = Fraction(u - modulus if 2 * u > modulus else u, lead)
+            if horner(s, root) == 0:
+                roots.append(root)
+                while horner(work, root) == 0:
+                    work = _deflate(work, root)
+    residual = Poly(2, {(0, i): c for i, c in enumerate(work)}).primitive()
+    return sorted(roots), residual, True
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +429,9 @@ class _Reduction:
 
         A1, B1 = data.chart1
         scan = B1 if data.dicritical else A1
-        roots, residual, certified = rational_roots(_restrict_to_line(scan))
+        roots, residual, _ = rational_roots(_restrict_to_line(scan))
         if residual.total_degree() > 0:
-            raise IrrationalSingularPointError(residual, certified)
+            raise IrrationalSingularPointError(residual)
         if old_y and Fraction(0) not in roots:
             roots = [Fraction(0)] + roots
         for t in roots:
@@ -453,6 +451,7 @@ class _Reduction:
 
 def reduce_germ(germ, max_blowups: int = MAX_BLOWUPS_DEFAULT) -> ReductionResult:
     """Resolve the germ by blow-ups until every point is in final position."""
+    require_isolated(germ)
     driver = _Reduction(max_blowups)
     driver.process(germ.P, germ.Q, ())
     return ReductionResult(

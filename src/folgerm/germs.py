@@ -71,6 +71,18 @@ class FoliationGerm:
             if poly_gcd(self.P, self.Q).total_degree() > 0:
                 raise ValueError("components share a common factor")
 
+    @classmethod
+    def _coprime(cls, P: Poly, Q: Poly) -> FoliationGerm:
+        """A germ whose caller has proved P and Q coprime: no gcd is run.
+
+        ``projective.chart_germ`` is the one caller; its docstring holds the
+        proof.
+        """
+        germ = object.__new__(cls)
+        object.__setattr__(germ, "P", P)
+        object.__setattr__(germ, "Q", Q)
+        return germ
+
     @property
     def is_singular(self) -> bool:
         return (
@@ -160,18 +172,23 @@ def _finite_quotient(gens: Sequence[Poly], what: str) -> int:
     return dim
 
 
-def milnor_quotient(f: FoliationGerm) -> StandardBasis:
-    """The local quotient O/(P, Q) that mu and every check read.
+def require_isolated(f: FoliationGerm) -> None:
+    """Reject a singular germ with a component that vanishes identically.
 
     Nonzero components were certified coprime when the germ was built, so
-    only a component that vanishes identically leaves it infinite.
+    this is the one way O/(P, Q) can be infinite.
     """
+    if f.is_singular and (f.P.is_zero or f.Q.is_zero):
+        raise NonIsolatedSingularityError(
+            "the Milnor number of the foliation is infinite"
+        )
+
+
+def milnor_quotient(f: FoliationGerm) -> StandardBasis:
+    """The local quotient O/(P, Q) that mu and every check read."""
+    require_isolated(f)
     sb = standard_basis([f.P, f.Q])
     if sb.quotient_basis is None:
-        if f.P.is_zero or f.Q.is_zero:
-            raise NonIsolatedSingularityError(
-                "the Milnor number of the foliation is infinite"
-            )
         raise EngineInconsistencyError(
             "coprime components gave an infinite local quotient"
         )

@@ -7,20 +7,21 @@ The degree of the foliation is one less than the coefficient degree: a
 degree-d foliation has coefficients of degree d + 1 and, counted with
 multiplicity, ``d**2 + d + 1`` singular points.
 
-Singular points are located by exact elimination, so only the rational ones
-are found.  The sum of local Milnor numbers over the located points is
-compared against ``d**2 + d + 1``: when the two agree, every singular point
-has rational coordinates and the list is provably complete.  Local work
-happens in the affine chart of the last nonzero coordinate, with the chart
-1-form read off by discarding the differential of the chart variable.
+Singular points are located by exact elimination and a complete rational
+root search, so every rational one is found and no irrational one is.  The
+sum of local Milnor numbers over the located points is compared against
+``d**2 + d + 1``: when the two agree, every singular point has rational
+coordinates and the list is provably complete.  Local work happens in the
+affine chart of the last nonzero coordinate, with the chart 1-form read off
+by discarding the differential of the chart variable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .blowup import rational_roots
+from .blowup import horner, rational_roots
 from .germs import (
     BalancedEquation,
     CurveGerm,
@@ -52,51 +53,57 @@ class EulerRelationError(ValueError):
 
 @dataclass(frozen=True)
 class ProjectiveFoliation:
-    """Validated homogeneous 1-form A dx + B dy + C dz of projective degree d."""
+    """Homogeneous 1-form A dx + B dy + C dz of projective degree d.
+
+    Building one checks the Euler relation and coprimality and reads off the
+    degree, so every instance defines a foliation (``chart_germ`` relies on
+    gcd(A, B, C) = 1).  Raises ``EulerRelationError`` when the contraction
+    with the radial vector field is nonzero, and a plain ``ValueError`` for
+    inhomogeneous input or coefficients with a common factor (such forms do
+    not define a foliation of the stated degree).
+    """
 
     A: Poly
     B: Poly
     C: Poly
-    degree: int
+    degree: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        A, B, C = self.A, self.B, self.C
+        for coeff in (A, B, C):
+            if coeff.nvars != 3:
+                raise ValueError("projective coefficients live in three variables")
+        nonzero = [c for c in (A, B, C) if not c.is_zero]
+        if not nonzero:
+            raise ValueError("all three coefficients vanish")
+        degrees = set()
+        for coeff in nonzero:
+            if not coeff.is_homogeneous():
+                raise ValueError("coefficients must be homogeneous")
+            degrees.add(coeff.total_degree())
+        if len(degrees) != 1:
+            raise ValueError("coefficients must share a common degree")
+        residual = (
+            Poly.variable(3, 0) * A
+            + Poly.variable(3, 1) * B
+            + Poly.variable(3, 2) * C
+        )
+        if not residual.is_zero:
+            raise EulerRelationError(residual)
+        common = nonzero[0]
+        for coeff in nonzero[1:]:
+            common = poly_gcd(common, coeff)
+        if common.total_degree() > 0:
+            raise ValueError(f"coefficients share the common factor {common}")
+        object.__setattr__(self, "degree", degrees.pop() - 1)
 
     def __str__(self) -> str:
         return f"({self.A}) dx + ({self.B}) dy + ({self.C}) dz"
 
 
 def validate_form(A: Poly, B: Poly, C: Poly) -> ProjectiveFoliation:
-    """Check the Euler relation and coprimality, and read off the degree.
-
-    Raises ``EulerRelationError`` when the contraction with the radial
-    vector field is nonzero, and a plain ``ValueError`` for inhomogeneous
-    input or coefficients with a common factor (such forms do not define a
-    foliation of the stated degree).
-    """
-    for coeff in (A, B, C):
-        if coeff.nvars != 3:
-            raise ValueError("projective coefficients live in three variables")
-    nonzero = [c for c in (A, B, C) if not c.is_zero]
-    if not nonzero:
-        raise ValueError("all three coefficients vanish")
-    degrees = set()
-    for coeff in nonzero:
-        if not coeff.is_homogeneous():
-            raise ValueError("coefficients must be homogeneous")
-        degrees.add(coeff.total_degree())
-    if len(degrees) != 1:
-        raise ValueError("coefficients must share a common degree")
-    residual = (
-        Poly.variable(3, 0) * A
-        + Poly.variable(3, 1) * B
-        + Poly.variable(3, 2) * C
-    )
-    if not residual.is_zero:
-        raise EulerRelationError(residual)
-    common = nonzero[0]
-    for coeff in nonzero[1:]:
-        common = poly_gcd(common, coeff)
-    if common.total_degree() > 0:
-        raise ValueError(f"coefficients share the common factor {common}")
-    return ProjectiveFoliation(A, B, C, degrees.pop() - 1)
+    """The foliation of the 1-form; ``ProjectiveFoliation`` lists the checks."""
+    return ProjectiveFoliation(A, B, C)
 
 
 def is_invariant_curve(form: ProjectiveFoliation, curve: Poly) -> bool:
@@ -167,52 +174,47 @@ def _section_in_y(p: Poly, x0: Fraction) -> list[Fraction]:
 
 
 def _line_roots(first: list[Fraction], second: list[Fraction]) -> list[Fraction]:
-    """Common rational roots of two univariate coefficient lists."""
+    """Common rational roots of two univariate coefficient lists.
 
-    def nonzero(coeffs):
-        return any(coeffs)
-
-    if not nonzero(first) and not nonzero(second):
+    One root search, on the first nonzero list; the other list is only
+    evaluated at its roots.
+    """
+    if not any(first):
+        first, second = second, first
+    if not any(first):
         raise ValueError("singular locus contains a line")
-    if not nonzero(first):
-        return rational_roots(second)[0]
-    if not nonzero(second):
-        return rational_roots(first)[0]
     roots, _, _ = rational_roots(first)
-    others = set(rational_roots(second)[0])
-    return [r for r in roots if r in others]
+    return [r for r in roots if horner(second, r) == 0]
 
 
 def _affine_common_zeros(a: Poly, b: Poly) -> list[tuple[Fraction, Fraction]]:
     """All rational common zeros of a coprime pair in two variables.
 
-    Eliminates the second variable by a pseudo-remainder chain: every common
-    zero of the pair is a zero of each element of the chain, so the final
-    element (which no longer involves y) catches all candidate x-coordinates.
-    Candidates are then confirmed by restricting both polynomials to the
-    vertical line.  Irrational zeros are silently missed; callers certify
-    completeness through the Milnor-number budget.
+    The caller guarantees coprimality (see ``singular_points``).  Eliminates
+    the second variable by a pseudo-remainder chain, each remainder made
+    integer-primitive: every common zero of the pair is a zero of each
+    element of the chain, so the final element (which no longer involves y)
+    catches all candidate x-coordinates.  Candidates are then confirmed by
+    restricting both polynomials to the vertical line.  The root search is
+    complete, so every rational zero is found; irrational zeros are not, and
+    callers certify completeness through the Milnor-number budget.
     """
     if a.is_zero or b.is_zero:
         survivor = b if a.is_zero else a
         if survivor.is_zero or survivor.total_degree() > 0:
             raise ValueError("singular locus is not finite in a chart")
         return []
-    if poly_gcd(a, b).total_degree() > 0:
-        raise ValueError("singular locus contains a curve")
     f, g = (a, b) if a.degree_in(1) >= b.degree_in(1) else (b, a)
     while g.degree_in(1) > 0:
         f, g = g, _pseudo_rem(f, g, 1)
         if g.is_zero:
             raise EngineInconsistencyError("a coprime pair left a zero eliminant")
+        g = g.primitive()
     candidates, _, _ = rational_roots(_coeff_list(g, 0))
     points = []
-    for x0 in sorted(candidates):
-        section_a = _section_in_y(a, x0)
-        section_b = _section_in_y(b, x0)
-        for y0 in _line_roots(section_a, section_b):
-            if a.evaluate((x0, y0)) == 0 and b.evaluate((x0, y0)) == 0:
-                points.append((x0, y0))
+    for x0 in candidates:
+        for y0 in _line_roots(_section_in_y(a, x0), _section_in_y(b, x0)):
+            points.append((x0, y0))
     return points
 
 
@@ -221,7 +223,8 @@ def singular_points(form: ProjectiveFoliation) -> list[ProjectivePoint]:
 
     By the Euler relation two vanishing coefficients force the third, so the
     search solves A = B = 0 in the chart z = 1, then A = C = 0 on the line
-    z = 0, and finally tests the single remaining point [1 : 0 : 0].
+    z = 0, and finally tests the single remaining point [1 : 0 : 0].  The
+    chart pair is coprime because the form is (see ``chart_germ``).
     """
     points = []
     affine_a = dehomogenize(form.A, 2)
@@ -244,6 +247,15 @@ def chart_germ(form: ProjectiveFoliation, point: ProjectivePoint) -> FoliationGe
     Restricting to the chart kills the differential of the chart variable;
     the two surviving coefficients are dehomogenized and translated so the
     point sits at the origin.
+
+    The two are coprime, so the germ skips the gcd of ``FoliationGerm``.
+    Every ``ProjectiveFoliation`` has gcd(A, B, C) = 1, checked when it was
+    built.  In the chart z = 1 the Euler relation reads
+    C(x, y, 1) = -x A(x, y, 1) - y B(x, y, 1), so a common factor h of
+    A(x, y, 1) and B(x, y, 1) divides C(x, y, 1) as well; its
+    homogenization then divides A, B and C, so h is constant.  The charts
+    y = 1 and x = 1 are the same argument with the roles of the
+    coefficients exchanged, and a translation keeps a pair coprime.
     """
     x0, y0, z0 = point.coords
     if z0:
@@ -255,7 +267,7 @@ def chart_germ(form: ProjectiveFoliation, point: ProjectivePoint) -> FoliationGe
     else:
         p = dehomogenize(form.B, 0)
         q = dehomogenize(form.C, 0)
-    return FoliationGerm(p, q)
+    return FoliationGerm._coprime(p, q)
 
 
 def chart_curve(curve: Poly, point: ProjectivePoint) -> CurveGerm:

@@ -28,6 +28,7 @@ from .germs import (
     milnor_foliation,
     milnor_quotient,
     multiplicity,
+    require_isolated,
     tangency_excess,
     tjurina_foliation,
 )
@@ -229,6 +230,7 @@ def check_second_type(
     """
     if mode not in ("criterion", "reduction", "both"):
         raise ValueError(f"unknown mode {mode!r}")
+    require_isolated(f)
     data: dict = {}
     notes: list[str] = []
     answers = []

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from folgerm.blowup import (
     BlowupLimitError,
@@ -132,6 +134,88 @@ class TestRationalRoots:
         assert roots == [Fraction(-3, 8), Fraction(0)]
         assert residual.total_degree() == 0
         assert certified
+
+    def test_linesfault_eliminant(self):
+        # The primitive eliminant of the six-line arrangement x, y, z,
+        # x+y+z, x+2y+3z, x+3y+7z (lambda = 1, 2, 3, 4, 5, -15) in the chart
+        # z = 1: x^12 (x-5)(x-2)(x-1)(x+1)(x+3)(x+7) times irrational factors.
+        # Trial division of its 39-bit trailing coefficient found only 0.
+        coeffs = [0] * 12 + [
+            -521558396100, -2732571246510, 16744280855746, 42613585741765,
+            672566657903, -55002630485876, -27426424714288, 16693925633971,
+            12264983038481, -1646137777886, -1843797612214, 76730462123,
+            112199571873, -2917463328, -2259024444, 15135741, 9623043,
+        ]
+        roots, residual, certified = rational_roots([Fraction(c) for c in coeffs])
+        assert roots == [Fraction(r) for r in (-7, -3, -1, 0, 1, 2, 5)]
+        assert residual.total_degree() == 28 - 12 - 6
+        assert certified
+
+    def test_low_degree_against_sympy(self):
+        # linear inputs and quadratics with a nonzero discriminant skip the
+        # squarefree gcd; squares of a linear factor take it
+        rng = random.Random(8)
+        for _ in range(200):
+            coeffs = [rng.randint(-30, 30) for _ in range(rng.randint(2, 3))]
+            if rng.random() < 0.3:
+                a, b = rng.randint(-9, 9), rng.randint(1, 9)
+                coeffs = [c * rng.randint(1, 5) for c in (a * a, -2 * a * b, b * b)]
+            if coeffs[-1] == 0:
+                continue
+            expected = _sympy_rational_roots(coeffs)
+            scale = Fraction(rng.randint(-7, 7) or 1, rng.randint(1, 7))
+            roots, residual, _ = rational_roots([c * scale for c in coeffs])
+            assert roots == sorted(expected), coeffs
+            degree = len(coeffs) - 1 - sum(expected.values())
+            assert residual.total_degree() == degree, coeffs
+
+
+def _sympy_rational_roots(coeffs):
+    """Rational roots with multiplicity, from sympy's factorization over Q."""
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    poly = sympy.Poly(list(reversed(coeffs)), t, domain="QQ")
+    out = {}
+    for factor, power in poly.factor_list()[1]:
+        if factor.degree() == 1:
+            c1, c0 = factor.all_coeffs()
+            root = -c0 / c1
+            out[Fraction(int(root.p), int(root.q))] = power
+    return out
+
+
+@st.composite
+def _rooted_polys(draw):
+    """Integer polynomials of degree <= 30 with planted rational roots.
+
+    Zero and repeated roots are planted, and pairs of roots 210 apart, which
+    collide mod 2, 3, 5 and 7 and so force the prime search past them.
+    """
+    small = st.integers(-40, 40)
+    roots = draw(st.lists(st.tuples(small, st.integers(1, 12)), max_size=10))
+    roots += [(a + 210 * b, b) for a, b in draw(st.lists(st.tuples(small, st.just(1)), max_size=2))]
+    roots += roots[: draw(st.integers(0, 2))]
+    cofactor = draw(st.lists(st.integers(-(2**60), 2**60), min_size=1, max_size=16))
+    if not any(cofactor):
+        cofactor[-1] = 1
+    coeffs = [0] * draw(st.integers(0, 4)) + cofactor
+    for a, b in roots:
+        # multiply by (b*t - a)
+        coeffs = [b * hi - a * lo for lo, hi in zip(coeffs + [0], [0] + coeffs)]
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    assume(len(coeffs) <= 31)
+    return coeffs
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(_rooted_polys())
+def test_rational_roots_match_sympy(coeffs):
+    expected = _sympy_rational_roots(coeffs)
+    roots, residual, certified = rational_roots([Fraction(c) for c in coeffs])
+    assert certified
+    assert roots == sorted(expected)
+    assert residual.total_degree() == len(coeffs) - 1 - sum(expected.values())
 
 
 class TestReduction:

@@ -351,7 +351,15 @@ class TestExitCodes:
         assert "curve" in err
 
     @pytest.mark.parametrize(
-        "command", ["invariants", "check-bs", "check-liu", "check-cota"]
+        "command",
+        [
+            "invariants",
+            "check-bs",
+            "check-liu",
+            "check-cota",
+            "check-second-type",
+            "reduce",
+        ],
     )
     def test_non_isolated_singularity(self, capsys, tmp_path, command):
         # P = 0 leaves O/(P, Q) infinite: an input error, not a failed check.

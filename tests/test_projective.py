@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from folgerm.germs import FoliationGerm, multiplicity, milnor_foliation
 from folgerm.polynomials import Poly, dehomogenize, parse_poly
 from folgerm.projective import (
     EulerRelationError,
+    ProjectiveFoliation,
     ProjectivePoint,
     ceil_div,
     chart_curve,
@@ -17,6 +19,8 @@ from folgerm.projective import (
     singular_points,
     validate_form,
 )
+
+from conftest import sympy_expr
 
 
 def H(text, params=None):
@@ -40,6 +44,52 @@ def pencil():
 def radial_zero():
     """Degree-zero form z dy - y dz: the lines through [1 : 0 : 0]."""
     return H("0"), H("z"), H("-y")
+
+
+def log_form(lines, lambdas):
+    """Logarithmic form prod(L) * sum(lambda_i dL_i / L_i) of linear forms.
+
+    With the lambdas summing to 0 the Euler relation holds; each line is
+    invariant and each pairwise intersection is a singular point.
+    """
+    forms = [H("a*x+b*y+c*z", dict(zip("abc", map(Fraction, line)))) for line in lines]
+    coeffs = []
+    for k in range(3):
+        total = H("0")
+        for i, (line, lam) in enumerate(zip(lines, lambdas)):
+            term = H(str(lam * line[k]))
+            for j, other in enumerate(forms):
+                if j != i:
+                    term = term * other
+            total = total + term
+        coeffs.append(total)
+    curve = H("1")
+    for f in forms:
+        curve = curve * f
+    return tuple(coeffs), curve
+
+
+def omega_f(d):
+    """omega_F for F = x^(d+1) + 2y^(d+1) - 3z^(d+1) + x*y^d."""
+    F = H(f"x^{d + 1} + 2*y^{d + 1} - 3*z^{d + 1} + x*y^{d}")
+    x, y, z = H("x"), H("y"), H("z")
+    fx, fy, fz = (F.diff(i) for i in range(3))
+    return y * fz - z * fy, z * fx - x * fz, x * fy - y * fx
+
+
+def line_meet(u, v):
+    """Intersection point of two lines, as the cross product of their coefficients."""
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+LINESFAULT = (
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (1, 2, 3), (1, 3, 7)),
+    (1, 2, 3, 4, 5, -15),
+)
 
 
 def irrational_pencil():
@@ -78,6 +128,14 @@ class TestValidation:
 
     def test_degree_zero(self):
         assert validate_form(*radial_zero()).degree == 0
+
+    def test_constructor_checks_like_validate_form(self):
+        assert ProjectiveFoliation(*omega(2)) == validate_form(*omega(2))
+        # omega(0) is y*(z dx - x dz): its A and C share the factor y
+        with pytest.raises(ValueError, match="common factor"):
+            ProjectiveFoliation(*omega(0))
+        with pytest.raises(EulerRelationError):
+            ProjectiveFoliation(H("y*z"), H("x*z"), H("x*y"))
 
 
 class TestSingularPoints:
@@ -134,6 +192,35 @@ class TestChartGerms:
         point = ProjectivePoint.of(1, 1, 1)
         local = chart_curve(H("x-y"), point)
         assert local.poly == parse_poly("x-y", 2)
+
+    def test_chart_pairs_are_coprime(self):
+        # chart_germ skips the gcd of FoliationGerm; sympy confirms that
+        # every chart pair is coprime, at every singular point.
+        sympy = pytest.importorskip("sympy")
+        x, y = sympy.symbols("x y")
+        rng = random.Random(8)
+        forms = [omega_f(d) for d in range(2, 7)]
+        for n in (3, 4, 5):
+            lines = set()
+            while len(lines) < n:
+                line = tuple(rng.randint(-5, 5) for _ in range(3))
+                if any(line) and all(
+                    sympy.Matrix([line, other]).rank() == 2 for other in lines
+                ):
+                    lines.add(line)
+            lambdas = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(n - 1)]
+            if sum(lambdas) == 0:
+                lambdas[0] += 1
+            forms.append(log_form(sorted(lines), lambdas + [-sum(lambdas)])[0])
+        checked = 0
+        for coeffs in forms:
+            form = validate_form(*coeffs)
+            for point in singular_points(form):
+                germ = chart_germ(form, point)
+                p, q = (sympy_expr(c, (x, y)) for c in germ.components())
+                assert sympy.gcd(p, q).is_number, point
+                checked += 1
+        assert checked >= 30
 
 
 class TestInvariance:
@@ -294,6 +381,35 @@ class TestGlobalBound:
         form = validate_form(*irrational_pencil())
         report = check_global_bound(form, H("y*z"))
         assert report.verdict == "not-applicable"
+
+
+class TestLinesfault:
+    """Six lines whose chart eliminant has a 39-bit trailing coefficient.
+
+    A root search by trial division gave up on it and lost 6 of the 15
+    rational intersection points; the other 6 of the Milnor budget of 21
+    are irrational singular points.
+    """
+
+    def test_validate_lists_every_intersection(self):
+        (a, b, c), curve = log_form(*LINESFAULT)
+        report = check_form(a, b, c, curve=curve)
+        assert report.verdict == "pass"
+        listed = {row["point"] for row in report.data["singular_points"]}
+        lines = LINESFAULT[0]
+        for i, first in enumerate(lines):
+            for second in lines[i + 1:]:
+                meet = line_meet(first, second)
+                assert str(ProjectivePoint.of(*meet)) in listed
+        assert len(listed) == 15
+        assert report.data["milnor_sum"] == 15
+        assert report.data["milnor_deficit"] == 6
+
+    def test_global_is_not_applicable(self):
+        (a, b, c), curve = log_form(*LINESFAULT)
+        report = check_global_bound(validate_form(a, b, c), curve)
+        assert report.verdict == "not-applicable"
+        assert report.data["milnor_sum"] == 15
 
 
 def test_ceil_div():
