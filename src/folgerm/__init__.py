@@ -40,7 +40,6 @@ from .germs import (
 )
 from .localalg import (
     EngineInconsistencyError,
-    TruncationError,
     stabilized_macaulay_dim,
     standard_basis,
 )
@@ -61,7 +60,6 @@ from .theorems import (
     CheckReport,
     check_briancon_skoda,
     check_cota,
-    check_kernel_identity,
     check_liu,
     check_second_type,
 )
@@ -82,14 +80,12 @@ __all__ = [
     "ProjectiveFoliation",
     "ProjectivePoint",
     "ReductionResult",
-    "TruncationError",
     "chart_curve",
     "chart_germ",
     "check_briancon_skoda",
     "check_cota",
     "check_form",
     "check_global_bound",
-    "check_kernel_identity",
     "check_liu",
     "check_second_type",
     "dicritical_report",

@@ -327,13 +327,6 @@ class ReductionResult:
     def valence(self, index: int) -> int:
         return sum(1 for e in self.edges if index in e)
 
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        out: dict[int, list[int]] = {c.index: [] for c in self.components}
-        for i, j in self.edges:
-            out[i].append(j)
-            out[j].append(i)
-        return {k: tuple(sorted(v)) for k, v in out.items()}
-
     @property
     def dicritical(self) -> bool:
         return any(c.dicritical for c in self.components)

@@ -11,6 +11,7 @@ unreadable file, malformed document, ill-posed germ.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -30,7 +31,7 @@ from .documents import (
     render_document,
 )
 from .germs import divisor_invariants, milnor_foliation, multiplicity, probe_pencil
-from .localalg import TruncationError, stabilized_macaulay_dim
+from .localalg import stabilized_macaulay_dim
 from .projective import check_form, check_global_bound, validate_form
 from .theorems import (
     FAIL,
@@ -44,6 +45,7 @@ from .theorems import (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="folgerm",
@@ -91,13 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     inv = add("invariants", "table of local invariants of a foliation germ")
     add_probes(inv)
-    inv.add_argument(
-        "--truncation-cap",
-        type=int,
-        default=64,
-        metavar="N",
-        help="cap for the truncated-series dimension oracle (default 64)",
-    )
     add("check-bs", "membership of the squared zero divisor in the germ ideal")
     add("check-liu", "tau <= mu <= 2*tau sandwich for second-type germs")
     cota = add("check-cota", "balanced-divisor lower bound for mu and 2*tau")
@@ -144,9 +139,7 @@ def _cmd_invariants(problem, args) -> CheckReport:
     mu = milnor_foliation(germ)
     data = {"multiplicity": multiplicity(germ), "mu": mu}
     notes = []
-    oracle = stabilized_macaulay_dim(
-        [germ.P, germ.Q], cap=args.truncation_cap
-    )
+    oracle = stabilized_macaulay_dim([germ.P, germ.Q])
     data["mu_oracle"] = oracle
     verdict = PASS
     if oracle != mu:
@@ -301,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
             raise DocumentError(f"cannot read {args.document}: {exc}") from exc
         sections = parse_document(text)
         report = _dispatch(args, sections, overrides)
-    except (DocumentError, TruncationError, ValueError) as exc:
+    except (DocumentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     output = render_json(report) if args.json else render_text(report)

@@ -330,8 +330,8 @@ def divisor_invariants(
     """The divisor quantities of ``check_cota`` and the invariants report, once.
 
     The polar is scored against B0 (and Binf); its certificate already holds
-    i(polar, B0), which the polar excess delta reads.  i(B0, Binf) is 0
-    without a pole.
+    i(polar, B0), which the polar excess delta reads; delta vanishes exactly
+    on generalized curves.  i(B0, Binf) is 0 without a pole.
     """
     xi = tangency_excess(f, b)
     tau = tjurina_foliation(f, b.zero)
@@ -343,14 +343,6 @@ def divisor_invariants(
     delta = (cert.intersections[0] + i_zero_pole
              - milnor_curve(b.zero) - b.zero.order + 1)
     return DivisorInvariants(xi, tau, cert, i_zero_pole, delta)
-
-
-def excess_polar(f: FoliationGerm, b: BalancedEquation) -> int:
-    """Polar excess: i(polar, zero) + i(zero, pole) - mu(zero) - nu(zero) + 1.
-
-    Vanishes exactly on generalized curves.
-    """
-    return divisor_invariants(f, b).delta
 
 
 def gsv_index(f: FoliationGerm, c: CurveGerm) -> int:

@@ -1,15 +1,14 @@
 """Exact linear algebra over the rationals, on sparse integer rows.
 
-A vector is either a dense sequence of entries or a sparse mapping
-{column index: entry}, with int or ``Fraction`` entries; a matrix is a list
-of row vectors.  Every routine clears the denominators of each row and runs
-the one elimination here, ``sparse_int_echelon``: fraction-free
-cross-multiplication in the spirit of Bareiss (Math. Comp. 1968), with the
-content of every new pivot row divided out.  Ranks count its pivot rows;
-kernels back-substitute from them.  Multiplication operators on local
-quotients and truncated Macaulay matrices are both mostly zero, so the
-elimination only ever holds nonzero entries; dense rows are read into that
-form and get their kernel vectors back as dense lists.
+A vector is a sparse mapping {column index: entry}, with int or
+``Fraction`` entries; a matrix is a list of row vectors.  Every routine
+clears the denominators of each row and runs the one elimination here,
+``sparse_int_echelon``: fraction-free cross-multiplication in the spirit
+of Bareiss (Math. Comp. 1968), with the content of every new pivot row
+divided out.  Ranks count its pivot rows; kernels back-substitute from
+them.  Multiplication operators on local quotients and truncated Macaulay
+matrices are both mostly zero, so the elimination only ever holds nonzero
+entries.
 """
 
 from __future__ import annotations
@@ -19,14 +18,13 @@ from math import gcd, lcm
 from typing import Mapping, Sequence
 
 Entry = Fraction | int
-Vector = Sequence[Entry] | Mapping[int, Entry]
+Vector = Mapping[int, Entry]
 Matrix = Sequence[Vector]
 
 
 def _integer_row(row: Vector) -> dict[int, int]:
     """The nonzero entries of ``row`` times the lcm of their denominators."""
-    items = row.items() if isinstance(row, Mapping) else enumerate(row)
-    entries = [(c, v) for c, v in items if v]
+    entries = [(c, v) for c, v in row.items() if v]
     scale = lcm(*(v.denominator for _, v in entries))
     return {c: int(v * scale) for c, v in entries}
 
@@ -94,21 +92,15 @@ def _reduced_echelon(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, i
     return reduced
 
 
-def kernel_basis(matrix: Matrix, ncols: int | None = None) -> list:
+def kernel_basis(matrix: Matrix, ncols: int) -> list[dict[int, Fraction]]:
     """Basis of the right kernel {v : M v = 0}, deterministic order.
 
     One vector per non-pivot column f, in increasing f: 1 at f, 0 at the
     other non-pivot columns, and the pivot coordinates back-substituted from
     the reduced echelon rows.  The pivot columns of a row space do not depend
     on how it is eliminated, so this is the basis that reduced row echelon
-    form over ``Fraction`` gives.  Sparse rows give sparse vectors
-    ({column: entry}); dense rows, or none, give dense lists.
+    form over ``Fraction`` gives, as sparse vectors {column: entry}.
     """
-    sparse = bool(matrix) and isinstance(matrix[0], Mapping)
-    if ncols is None:
-        if not matrix or sparse:
-            raise ValueError("cannot infer the number of columns")
-        ncols = len(matrix[0])
     reduced = _reduced_echelon(sparse_int_echelon([_integer_row(r) for r in matrix]))
     vectors = {f: {f: Fraction(1)} for f in range(ncols) if f not in reduced}
     for p, row in reduced.items():
@@ -116,9 +108,7 @@ def kernel_basis(matrix: Matrix, ncols: int | None = None) -> list:
         for c, v in row.items():
             if c != p:
                 vectors[c][p] = Fraction(-v, lead)
-    if sparse:
-        return list(vectors.values())
-    return [[v.get(c, Fraction(0)) for c in range(ncols)] for v in vectors.values()]
+    return list(vectors.values())
 
 
 def column_space_equal(a: Matrix, b: Matrix) -> bool:

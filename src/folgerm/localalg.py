@@ -23,14 +23,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .linalg import bareiss_rank, sparse_int_echelon
+from .linalg import sparse_int_echelon
 from .polynomials import EngineInconsistencyError, Monomial, Poly  # noqa: F401
 
 _MIN_TRUNCATION = 4
-
-
-class TruncationError(RuntimeError):
-    """The truncation oracle failed to stabilize below the hard cap."""
 
 
 def column_key(monomial: Monomial) -> tuple:
@@ -107,20 +103,6 @@ class StandardBasis:
         self._pivots = pivots
         free = tuple(m for i, m in enumerate(columns) if i not in pivots)
         self.quotient_basis = free if truncation is not None else None
-        top = truncation if truncation is not None else sum(columns[-1])
-        staircase = set(free)
-        # minimal generators of the leading ideal: the outer corners
-        self.leading_ideal: tuple[Monomial, ...] = tuple(
-            m
-            for m in columns
-            if sum(m) <= top
-            and m not in staircase
-            and all(
-                m[i] == 0
-                or m[:i] + (m[i] - 1,) + m[i + 1:] in staircase
-                for i in range(nvars)
-            )
-        )
         self._table: dict[Monomial, dict[Monomial, Fraction]] | None = None
 
     def quotient_dim(self) -> int | None:
@@ -210,38 +192,18 @@ class QuotientOperator:
     Column j is a sparse mapping {i: coefficient of ``basis[i]``} of the
     canonical form of ``basis[j] * f``; zero coefficients are absent.  These
     operators are mostly zero (61 nonzero entries of 66^2 for fk(6)), so
-    products, ranks and kernels run on the columns.  The constructor takes
-    dense rows and ``matrix`` is the dense view, entry (i, j).
+    products, ranks and kernels run on the columns.
     """
 
-    def __init__(self, basis: Sequence[Monomial], matrix: list[list[Fraction]]):
+    def __init__(
+        self, basis: Sequence[Monomial], columns: Sequence[dict[int, Fraction]]
+    ):
         self.basis = tuple(basis)
-        self.columns = tuple(
-            {i: Fraction(row[j]) for i, row in enumerate(matrix) if row[j]}
-            for j in range(len(self.basis))
-        )
-
-    @classmethod
-    def from_columns(
-        cls, basis: Sequence[Monomial], columns: Sequence[dict[int, Fraction]]
-    ) -> QuotientOperator:
-        op = cls.__new__(cls)
-        op.basis = tuple(basis)
-        op.columns = tuple(columns)
-        return op
+        self.columns = tuple(columns)
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-    @property
-    def matrix(self) -> list[list[Fraction]]:
-        n = self.dimension
-        dense = [[Fraction(0)] * n for _ in range(n)]
-        for j, column in enumerate(self.columns):
-            for i, value in column.items():
-                dense[i][j] = value
-        return dense
 
     @property
     def rows(self) -> list[dict[int, Fraction]]:
@@ -263,7 +225,7 @@ class QuotientOperator:
                 for i, a in self.columns[k].items():
                     acc[i] = acc.get(i, 0) + a * b
             product.append({i: v for i, v in acc.items() if v})
-        return QuotientOperator.from_columns(self.basis, product)
+        return QuotientOperator(self.basis, product)
 
     def is_zero(self) -> bool:
         return not any(self.columns)
@@ -278,13 +240,7 @@ def mult_operator(sb: StandardBasis, f: Poly) -> QuotientOperator:
     for b in basis:
         coordinates = sb.reduce_to_coordinates(Poly.monomial(b) * f)
         columns.append({index[m]: c for m, c in coordinates.items()})
-    return QuotientOperator.from_columns(basis, columns)
-
-
-def kernel_rank(op: QuotientOperator) -> tuple[int, int]:
-    """(kernel dimension, rank) of the operator, exactly."""
-    rank = bareiss_rank(op.columns)
-    return (op.dimension - rank, rank)
+    return QuotientOperator(basis, columns)
 
 
 # -- truncation oracle -----------------------------------------------------
@@ -300,25 +256,24 @@ def macaulay_dim(gens: Sequence[Poly], truncation: int) -> int:
     return len(columns) - len(pivots)
 
 
-def stabilized_macaulay_dim(gens: Sequence[Poly], cap: int = 64) -> int:
+def stabilized_macaulay_dim(gens: Sequence[Poly]) -> int | None:
     """Run the truncation oracle until two consecutive values agree.
 
-    Starts at max(4, 2*maxdeg + 2) and steps by 2; raises TruncationError
-    when the cap is passed without stabilization.  This is a second
-    truncation schedule over the same rows as ``standard_basis``.
+    Starts at max(4, 2*maxdeg + 2) and steps by 2.  Equal values at N and
+    N + 2 put m^N inside I (Nakayama), so they are the colength.  A value
+    above the Bezout bound d^n proves the quotient infinite: the result is
+    then None, as from ``quotient_dim``.  This is a second truncation
+    schedule over the same rows as ``standard_basis``.
     """
     degree = max(g.total_degree() for g in gens if not g.is_zero)
+    bezout = degree ** gens[0].nvars
     n = max(4, 2 * degree + 2)
-    if n > cap:
-        raise TruncationError(f"initial truncation {n} already exceeds cap {cap}")
-    previous = macaulay_dim(gens, n)
+    previous = None
     while True:
-        n += 2
-        if n > cap:
-            raise TruncationError(
-                f"truncation oracle not stabilized at cap {cap} (last value {previous})"
-            )
         value = macaulay_dim(gens, n)
+        if value > bezout:
+            return None
         if value == previous:
             return value
         previous = value
+        n += 2

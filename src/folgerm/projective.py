@@ -139,11 +139,6 @@ class ProjectivePoint:
             raise ValueError("(0 : 0 : 0) is not a projective point")
         return cls(tuple(c / scale for c in coords))
 
-    @property
-    def chart(self) -> int:
-        """Index of the chart coordinate (the last nonzero one)."""
-        return max(i for i, c in enumerate(self.coords) if c)
-
     def __str__(self) -> str:
         return "[" + " : ".join(str(c) for c in self.coords) + "]"
 

@@ -21,7 +21,6 @@ from .blowup import BlowupLimitError, IrrationalSingularPointError, reduce_germ
 from .germs import (
     DEFAULT_PROBES,
     BalancedEquation,
-    CurveGerm,
     FoliationGerm,
     divisor_invariants,
     is_semihomogeneous,
@@ -33,7 +32,7 @@ from .germs import (
     tjurina_foliation,
 )
 from .linalg import bareiss_rank, column_space_equal, kernel_basis
-from .localalg import EngineInconsistencyError, kernel_rank, mult_operator
+from .localalg import EngineInconsistencyError, mult_operator
 from .localalg import standard_basis  # noqa: F401  (bench/tests reads this binding)
 
 PASS = "pass"
@@ -47,10 +46,6 @@ class CheckReport:
     verdict: str
     data: dict = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == PASS
 
     @property
     def failed(self) -> bool:
@@ -107,31 +102,13 @@ def check_briancon_skoda(f: FoliationGerm, b: BalancedEquation) -> CheckReport:
     return report
 
 
-def check_kernel_identity(f: FoliationGerm, c: CurveGerm) -> CheckReport:
-    """Kernel of multiplication by the curve has dimension tau, rank mu - tau."""
-    sb = milnor_quotient(f)
-    mu = sb.quotient_dim()
-    sigma = mult_operator(sb, c.poly)
-    kernel_dim, rank = kernel_rank(sigma)
-    tau = tjurina_foliation(f, c)
-    ok = kernel_dim == tau and rank == mu - tau
-    return CheckReport(
-        name="kernel-identity",
-        verdict=_verdict(ok),
-        data={
-            "mu": mu,
-            "tau": tau,
-            "kernel_dim": kernel_dim,
-            "rank": rank,
-        },
-    )
-
-
 def check_liu(f: FoliationGerm, b: BalancedEquation) -> CheckReport:
     """Sandwich tau <= mu <= 2*tau, with mu = 2*tau iff kernel equals image.
 
     Both statements assume the germ is of second type; otherwise the check
-    is not applicable and only reports the numbers.
+    is not applicable and only reports the numbers.  The kernel of sigma
+    has dimension dim O/(P, Q, g), which is tau; any other value is an
+    engine inconsistency.
     """
     xi = tangency_excess(f, b)
     sb = milnor_quotient(f)
@@ -147,6 +124,10 @@ def check_liu(f: FoliationGerm, b: BalancedEquation) -> CheckReport:
         )
     sigma = mult_operator(sb, b.zero.poly)
     kernel = kernel_basis(sigma.rows, ncols=sigma.dimension)
+    if len(kernel) != tau:
+        raise EngineInconsistencyError(
+            f"kernel of sigma has dimension {len(kernel)}, tau is {tau}"
+        )
     kernel_is_image = column_space_equal(kernel, sigma.columns)
     sandwich = tau <= mu <= 2 * tau
     equality = (mu == 2 * tau) == kernel_is_image

@@ -106,6 +106,24 @@ class TestLocalCommands:
         assert data["xi"] == "0"
         assert data["second_type"] == "true"
 
+    @pytest.mark.parametrize(
+        "P, Q, mu",
+        [
+            # the oracle's first truncation is 2*32 + 2 = 66
+            ("y + x^32", "x", "1"),
+            # the oracle climbs from truncation 64 to 66 before it agrees
+            ("y^2 - x^31", "x*y", "33"),
+        ],
+    )
+    def test_invariants_oracle_needs_no_cap(self, capsys, tmp_path, P, Q, mu):
+        doc = tmp_path / "high_degree.fol"
+        doc.write_text(f"[foliation]\nP = {P}\nQ = {Q}\n")
+        code, out, err = run(capsys, "invariants", doc)
+        assert (code, err) == (0, "")
+        report = parse_document(out)
+        assert report["report"]["verdict"] == "pass"
+        assert report["data"]["mu"] == report["data"]["mu_oracle"] == mu
+
     def test_check_bs_radial_passes(self, capsys):
         code, out, _ = run(capsys, "check-bs", FIXTURES / "radial.fol")
         assert code == 0

@@ -10,7 +10,7 @@ from folgerm.germs import (
     FoliationGerm,
     InvalidBalancedEquationError,
     NonIsolatedSingularityError,
-    excess_polar,
+    divisor_invariants,
     generic_polar,
     gsv_index,
     intersection_multiplicity,
@@ -259,14 +259,14 @@ class TestGenericPolar:
 
 class TestExcessAndTangency:
     def test_polar_excess_vanishes_on_generalized_curves(self):
-        assert excess_polar(radial(), RADIAL_B) == 0
-        assert excess_polar(cusp(), CUSP_B) == 0
+        assert divisor_invariants(radial(), RADIAL_B).delta == 0
+        assert divisor_invariants(cusp(), CUSP_B).delta == 0
 
     def test_linear_log_example(self):
         # x dy - lambda*y dx with lambda outside the positive rationals.
         f = FoliationGerm(P("3*y"), P("x"))
         b = BalancedEquation(CurveGerm(P("x*y")))
-        assert excess_polar(f, b) == 0
+        assert divisor_invariants(f, b).delta == 0
         assert tangency_excess(f, b) == 0
 
     def test_tangency_excess(self):

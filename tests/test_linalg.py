@@ -53,6 +53,11 @@ def dense(rows, ncols):
     return [[row.get(j, Fraction(0)) for j in range(ncols)] for row in rows]
 
 
+def sparse(matrix):
+    """The sparse rows {column: entry} of dense rows, as ``linalg`` reads them."""
+    return [{j: e for j, e in enumerate(row) if e} for row in matrix]
+
+
 @st.composite
 def sparse_matrices(draw, size=None):
     """Sparse rational rows {column: entry}, at most a third of a row nonzero.
@@ -71,17 +76,17 @@ def sparse_matrices(draw, size=None):
 
 
 def test_rank_hand_cases():
-    assert bareiss_rank([[1, 2], [2, 4]]) == 1
-    assert bareiss_rank([[1, 0], [0, 1]]) == 2
-    assert bareiss_rank([[0, 0], [0, 0]]) == 0
+    assert bareiss_rank(sparse([[1, 2], [2, 4]])) == 1
+    assert bareiss_rank(sparse([[1, 0], [0, 1]])) == 2
+    assert bareiss_rank(sparse([[0, 0], [0, 0]])) == 0
     assert bareiss_rank([]) == 0
-    assert bareiss_rank([[Fraction(1, 2), 1], [1, 2]]) == 1
+    assert bareiss_rank(sparse([[Fraction(1, 2), 1], [1, 2]])) == 1
 
 
 def test_rank_rectangular():
-    assert bareiss_rank([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 2
-    assert bareiss_rank([[1, 2, 3], [2, 4, 6]]) == 1
-    assert bareiss_rank([[1], [2], [4]]) == 1
+    assert bareiss_rank(sparse([[1, 2, 3], [4, 5, 6], [7, 8, 9]])) == 2
+    assert bareiss_rank(sparse([[1, 2, 3], [2, 4, 6]])) == 1
+    assert bareiss_rank(sparse([[1], [2], [4]])) == 1
 
 
 def test_sparse_rank_matches_dense():
@@ -89,11 +94,10 @@ def test_sparse_rank_matches_dense():
     for _ in range(30):
         n, m = rng.randint(1, 6), rng.randint(1, 6)
         matrix = [[rng.randint(-4, 4) for _ in range(m)] for _ in range(n)]
-        sparse = [{j: e for j, e in enumerate(row) if e} for row in matrix]
+        rows = sparse(matrix)
         reference = dense_bareiss_rank(matrix)
-        assert sparse_int_rank(sparse) == reference
-        assert bareiss_rank(matrix) == reference
-        assert bareiss_rank(sparse) == reference
+        assert sparse_int_rank(rows) == reference
+        assert bareiss_rank(rows) == reference
 
 
 def test_rank_matches_sympy():
@@ -109,29 +113,30 @@ def test_rank_matches_sympy():
         reference = sympy.Matrix(
             [[sympy.Rational(e.numerator, e.denominator) for e in row] for row in matrix]
         ).rank()
-        assert bareiss_rank(matrix) == reference
+        assert bareiss_rank(sparse(matrix)) == reference
 
 
 def test_kernel_basis():
-    kernel = kernel_basis([[1, 2], [2, 4]])
+    kernel = kernel_basis(sparse([[1, 2], [2, 4]]), ncols=2)
     assert len(kernel) == 1
-    assert kernel[0] == [Fraction(-2), Fraction(1)]
-    assert kernel_basis([[1, 0], [0, 1]]) == []
-    assert len(kernel_basis([[0, 0], [0, 0]])) == 2
+    assert kernel[0] == {0: Fraction(-2), 1: Fraction(1)}
+    assert kernel_basis(sparse([[1, 0], [0, 1]]), ncols=2) == []
+    assert len(kernel_basis(sparse([[0, 0], [0, 0]]), ncols=2)) == 2
 
 
 def test_kernel_basis_sparse_rows_give_sparse_vectors():
     kernel = kernel_basis([{0: 1, 1: 2}, {0: 2, 1: 4}, {}], ncols=3)
     assert kernel == [{1: Fraction(1), 0: Fraction(-2)}, {2: Fraction(1)}]
     assert kernel_basis([], ncols=0) == []
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         kernel_basis([{0: 1}])
 
 
 def test_kernel_basis_is_the_rref_basis():
     # pivots 0 and 2; the free columns 1 and 3 give one vector each
     matrix = [[2, 4, 1, 3], [1, 2, 1, 1], [3, 6, 2, 4]]
-    assert kernel_basis(matrix) == [[-2, 1, 0, 0], [-2, 0, 1, 1]]
+    kernel = kernel_basis(sparse(matrix), ncols=4)
+    assert dense(kernel, 4) == [[-2, 1, 0, 0], [-2, 0, 1, 1]]
 
 
 def test_rank_nullity_random():
@@ -140,18 +145,18 @@ def test_rank_nullity_random():
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         matrix = [[Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(m)]
                   for _ in range(n)]
-        rank = bareiss_rank(matrix)
-        kernel = kernel_basis(matrix)
+        rank = bareiss_rank(sparse(matrix))
+        kernel = dense(kernel_basis(sparse(matrix), ncols=m), m)
         assert rank + len(kernel) == m
         for vector in kernel:
             assert all(sum(a * v for a, v in zip(row, vector)) == 0 for row in matrix)
 
 
 def test_column_space_equal():
-    assert column_space_equal([[1, 0], [0, 1]], [[1, 1], [1, -1]])
-    assert not column_space_equal([[1, 0]], [[0, 1]])
+    assert column_space_equal(sparse([[1, 0], [0, 1]]), sparse([[1, 1], [1, -1]]))
+    assert not column_space_equal(sparse([[1, 0]]), sparse([[0, 1]]))
     assert column_space_equal([], [])
-    assert not column_space_equal([[1, 0]], [])
+    assert not column_space_equal(sparse([[1, 0]]), [])
     assert column_space_equal([{0: 1}, {1: 1}], [{0: 1, 1: 1}, {0: 1, 1: -1}])
     assert not column_space_equal([{0: Fraction(1, 2)}], [{1: 3}])
 
@@ -186,20 +191,20 @@ def test_property_kernel_is_the_sympy_nullspace(case):
     )
     reference = [[Fraction(int(e.p), int(e.q)) for e in v] for v in matrix.nullspace()]
     assert dense(kernel_basis(rows, ncols=ncols), ncols) == reference
-    assert kernel_basis(dense(rows, ncols), ncols=ncols) == reference
 
 
 @PROPERTY
 @given(st.integers(1, 7), st.data())
 def test_property_compose_is_the_matrix_product(n, data):
     basis = tuple((i, 0) for i in range(n))
-    a = QuotientOperator(basis, dense(data.draw(sparse_matrices(n))[0], n))
-    b = QuotientOperator(basis, dense(data.draw(sparse_matrices(n))[0], n))
+    a = QuotientOperator(basis, data.draw(sparse_matrices(n))[0])
+    b = QuotientOperator(basis, data.draw(sparse_matrices(n))[0])
+    a_matrix, b_matrix = dense(a.rows, n), dense(b.rows, n)
     reference = [
-        [sum((a.matrix[i][k] * b.matrix[k][j] for k in range(n)), Fraction(0))
+        [sum((a_matrix[i][k] * b_matrix[k][j] for k in range(n)), Fraction(0))
          for j in range(n)]
         for i in range(n)
     ]
     product = a.compose(b)
-    assert product.matrix == reference
+    assert dense(product.rows, n) == reference
     assert product.is_zero() == all(not e for row in reference for e in row)

@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 from conftest import random_nonzero_poly
-from folgerm.germs import BalancedEquation, CurveGerm, FoliationGerm
-from folgerm.localalg import EngineInconsistencyError, StandardBasis
+from folgerm import theorems
+from folgerm.germs import BalancedEquation, CurveGerm, FoliationGerm, milnor_quotient
+from folgerm.linalg import bareiss_rank, kernel_basis
+from folgerm.localalg import EngineInconsistencyError, StandardBasis, mult_operator
 from folgerm.polynomials import Poly, is_squarefree, parse_poly
 from folgerm.theorems import (
     FAIL,
@@ -17,7 +19,6 @@ from folgerm.theorems import (
     PASS,
     check_briancon_skoda,
     check_cota,
-    check_kernel_identity,
     check_liu,
     check_second_type,
 )
@@ -130,21 +131,37 @@ class TestBrianconSkoda:
         assert done.stdout == "raised 1\n", done.stderr
 
 
+def kernel_and_rank(germ, curve):
+    """(dim ker sigma, rank sigma) for multiplication by the curve on O/(P, Q)."""
+    sigma = mult_operator(milnor_quotient(germ), curve.poly)
+    kernel = kernel_basis(sigma.rows, ncols=sigma.dimension)
+    return len(kernel), bareiss_rank(sigma.columns)
+
+
 class TestKernelIdentity:
+    """dim ker sigma = tau and rank sigma = mu - tau; check_liu raises otherwise."""
+
     def test_radial(self):
-        report = check_kernel_identity(radial(), RADIAL_B.zero)
-        assert report.verdict == PASS
-        assert report.data == {"mu": 1, "tau": 1, "kernel_dim": 1, "rank": 0}
+        report = check_liu(radial(), RADIAL_B)
+        assert (report.data["mu"], report.data["tau"]) == (1, 1)
+        assert kernel_and_rank(radial(), RADIAL_B.zero) == (1, 0)
 
     def test_fk5(self):
-        report = check_kernel_identity(fk(5), FK_B.zero)
-        assert report.verdict == PASS
-        assert report.data == {"mu": 45, "tau": 13, "kernel_dim": 13, "rank": 32}
+        report = check_liu(fk(5), FK_B)
+        assert (report.data["mu"], report.data["tau"]) == (45, 13)
+        assert kernel_and_rank(fk(5), FK_B.zero) == (13, 32)
 
     def test_hamiltonian_corpus(self):
         for germ, b in hamiltonian_corpus(404, 8):
-            report = check_kernel_identity(germ, b.zero)
+            report = check_liu(germ, b)
             assert report.verdict == PASS, str(b.zero)
+            mu, tau = report.data["mu"], report.data["tau"]
+            assert kernel_and_rank(germ, b.zero) == (tau, mu - tau), str(b.zero)
+
+    def test_kernel_not_tau_raises(self, monkeypatch):
+        monkeypatch.setattr(theorems, "tjurina_foliation", lambda f, c: 2)
+        with pytest.raises(EngineInconsistencyError, match="kernel of sigma"):
+            check_liu(radial(), RADIAL_B)
 
 
 class TestLiu:
