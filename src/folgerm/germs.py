@@ -71,18 +71,6 @@ class FoliationGerm:
             if poly_gcd(self.P, self.Q).total_degree() > 0:
                 raise ValueError("components share a common factor")
 
-    @classmethod
-    def _coprime(cls, P: Poly, Q: Poly) -> FoliationGerm:
-        """A germ whose caller has proved P and Q coprime: no gcd is run.
-
-        ``projective.chart_germ`` is the one caller; its docstring holds the
-        proof.
-        """
-        germ = object.__new__(cls)
-        object.__setattr__(germ, "P", P)
-        object.__setattr__(germ, "Q", Q)
-        return germ
-
     @property
     def is_singular(self) -> bool:
         return (

@@ -60,6 +60,19 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, nvars: int, terms: dict[Monomial, Fraction]) -> Poly:
+        """Wrap ``terms`` as is: tuple keys of length ``nvars``, nonzero Fractions.
+
+        For arithmetic results, whose coefficients are already clean; the
+        public constructor keeps every check.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "nvars", nvars)
+        object.__setattr__(poly, "_terms", terms)
+        object.__setattr__(poly, "_hash", None)
+        return poly
+
+    @classmethod
     def zero(cls, nvars: int) -> Poly:
         return cls(nvars, {})
 
@@ -133,12 +146,12 @@ class Poly:
                 result[monomial] = total
             else:
                 result.pop(monomial, None)
-        return Poly(self.nvars, result)
+        return Poly._trusted(self.nvars, result)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly(self.nvars, {m: -c for m, c in self._terms.items()})
+        return Poly._trusted(self.nvars, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: Poly | Fraction | int) -> Poly:
         if not isinstance(other, Poly):
@@ -153,7 +166,8 @@ class Poly:
             value = Fraction(other)
             if not value:
                 return Poly.zero(self.nvars)
-            return Poly(self.nvars, {m: c * value for m, c in self._terms.items()})
+            scaled = {m: c * value for m, c in self._terms.items()}
+            return Poly._trusted(self.nvars, scaled)
         self._check_arity(other)
         result: dict[Monomial, Fraction] = {}
         for m1, c1 in self._terms.items():
@@ -164,7 +178,7 @@ class Poly:
                     result[key] = total
                 else:
                     result.pop(key, None)
-        return Poly(self.nvars, result)
+        return Poly._trusted(self.nvars, result)
 
     __rmul__ = __mul__
 
@@ -245,7 +259,7 @@ class Poly:
                     total[m] = value
                 else:
                     total.pop(m, None)
-        return Poly(nvars_out, total)
+        return Poly._trusted(nvars_out, total)
 
     def shift(self, offsets: Iterable[Fraction | int]) -> Poly:
         """Translate: substitute ``x_i + offset_i`` for each variable."""
@@ -540,12 +554,96 @@ def _pseudo_rem(f: Poly, g: Poly, var: int) -> Poly:
     return r
 
 
+_CERT_PRIME = 2**31 - 1
+_CERT_POINTS = (7, 1234567, 98765431)
+
+
+def _image_mod_p(p: Poly) -> dict[Monomial, int]:
+    """Coefficients of p times the lcm of its denominators, reduced mod the prime."""
+    scale = 1
+    for c in p._terms.values():
+        scale = scale * c.denominator // _int_gcd(scale, c.denominator)
+    return {
+        m: c.numerator * (scale // c.denominator) % _CERT_PRIME
+        for m, c in p._terms.items()
+    }
+
+
+def _specialize(image: dict[Monomial, int], var: int, values: tuple[int, ...],
+                degree: int) -> list[int]:
+    """Coefficients by power of ``var`` once the other variables take ``values``."""
+    coeffs = [0] * (degree + 1)
+    for monomial, c in image.items():
+        for i, e in enumerate(monomial):
+            if e and i != var:
+                c = c * pow(values[i], e, _CERT_PRIME) % _CERT_PRIME
+        coeffs[monomial[var]] = (coeffs[monomial[var]] + c) % _CERT_PRIME
+    return coeffs
+
+
+def _euclid_mod_p(f: list[int], g: list[int]) -> list[int]:
+    """gcd in F_p[v] of coefficient lists, lowest power first, nonzero leads."""
+    while g:
+        inverse = pow(g[-1], -1, _CERT_PRIME)
+        while len(f) >= len(g):
+            q = f[-1] * inverse % _CERT_PRIME
+            shift = len(f) - len(g)
+            for i, c in enumerate(g):
+                f[shift + i] = (f[shift + i] - q * c) % _CERT_PRIME
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return f
+
+
+def _coprime_mod_p(a: Poly, b: Poly) -> bool:
+    """Whether the images of a and b modulo a prime prove them coprime.
+
+    Clear the denominators and let p = 2^31 - 1.  For each variable v in
+    which both a and b have positive degree, give the other variables the
+    values t (two variables) or the other slots of (t, 2t, 3t) (three), for
+    the first t in ``_CERT_POINTS`` at which both v-leading coefficients are
+    nonzero mod p, and require the two images to have a constant gcd in
+    F_p[v].
+
+    Sound: let h be a common factor of positive v-degree.  By Gauss's lemma
+    h may be taken in Z[x, y, ...] dividing both integer multiples there, so
+    lc_v(h) divides lc_v(a), which is nonzero at the point mod p.  So the
+    image of h keeps its v-degree and divides both images, whose gcd is then
+    not constant.  A nonconstant common factor has positive degree in some
+    variable, in which a and b both have positive degree; so if every such
+    variable passes, a and b are coprime.  False only means "not proved".
+    """
+    images = (_image_mod_p(a), _image_mod_p(b))
+    for var in range(a.nvars):
+        degrees = (a.degree_in(var), b.degree_in(var))
+        if min(degrees) <= 0:
+            continue
+        for t in _CERT_POINTS:
+            values = (t, t) if a.nvars == 2 else (t, 2 * t, 3 * t)
+            f, g = (
+                _specialize(image, var, values, degree)
+                for image, degree in zip(images, degrees)
+            )
+            if f[-1] and g[-1]:
+                break
+        else:
+            return False
+        if len(_euclid_mod_p(f, g)) > 1:
+            return False
+    return True
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Greatest common divisor, normalized to an integer-primitive poly.
 
-    Primitive pseudo-remainder sequences in the last active variable, with
-    contents handled by recursion on the remaining variables.  Desk-scale
-    degrees only, which is all the callers ever produce.
+    A coprime pair, nearly every pair the callers pass, is settled by
+    ``_coprime_mod_p`` in one modular pass.  Every other pair (a common
+    factor, or a prime or point that proves nothing) takes the exact route:
+    primitive pseudo-remainder sequences in the last active variable, with
+    contents handled by recursion on the remaining variables.  The
+    certificate returns only what that route returns for a coprime pair,
+    the constant 1, so no answer depends on the prime or the points.
     """
     if a.is_zero and b.is_zero:
         raise ValueError("gcd(0, 0) is undefined")
@@ -559,7 +657,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         if a.degree_in(i) > 0 or b.degree_in(i) > 0:
             var = i
             break
-    if var is None:
+    if var is None or _coprime_mod_p(a, b):
         return Poly.constant(a.nvars, 1)
 
     def content_in(p: Poly) -> Poly:

@@ -56,11 +56,11 @@ class ProjectiveFoliation:
     """Homogeneous 1-form A dx + B dy + C dz of projective degree d.
 
     Building one checks the Euler relation and coprimality and reads off the
-    degree, so every instance defines a foliation (``chart_germ`` relies on
-    gcd(A, B, C) = 1).  Raises ``EulerRelationError`` when the contraction
-    with the radial vector field is nonzero, and a plain ``ValueError`` for
-    inhomogeneous input or coefficients with a common factor (such forms do
-    not define a foliation of the stated degree).
+    degree, so every instance defines a foliation (``singular_points``
+    relies on gcd(A, B, C) = 1).  Raises ``EulerRelationError`` when the
+    contraction with the radial vector field is nonzero, and a plain
+    ``ValueError`` for inhomogeneous input or coefficients with a common
+    factor (such forms do not define a foliation of the stated degree).
     """
 
     A: Poly
@@ -218,8 +218,13 @@ def singular_points(form: ProjectiveFoliation) -> list[ProjectivePoint]:
 
     By the Euler relation two vanishing coefficients force the third, so the
     search solves A = B = 0 in the chart z = 1, then A = C = 0 on the line
-    z = 0, and finally tests the single remaining point [1 : 0 : 0].  The
-    chart pair is coprime because the form is (see ``chart_germ``).
+    z = 0, and finally tests the single remaining point [1 : 0 : 0].
+
+    The chart pair is coprime because the form is: gcd(A, B, C) = 1 was
+    checked when the form was built, and in the chart z = 1 the Euler
+    relation reads C(x, y, 1) = -x A(x, y, 1) - y B(x, y, 1), so a common
+    factor h of A(x, y, 1) and B(x, y, 1) divides C(x, y, 1) as well; its
+    homogenization then divides A, B and C, so h is constant.
     """
     points = []
     affine_a = dehomogenize(form.A, 2)
@@ -242,15 +247,6 @@ def chart_germ(form: ProjectiveFoliation, point: ProjectivePoint) -> FoliationGe
     Restricting to the chart kills the differential of the chart variable;
     the two surviving coefficients are dehomogenized and translated so the
     point sits at the origin.
-
-    The two are coprime, so the germ skips the gcd of ``FoliationGerm``.
-    Every ``ProjectiveFoliation`` has gcd(A, B, C) = 1, checked when it was
-    built.  In the chart z = 1 the Euler relation reads
-    C(x, y, 1) = -x A(x, y, 1) - y B(x, y, 1), so a common factor h of
-    A(x, y, 1) and B(x, y, 1) divides C(x, y, 1) as well; its
-    homogenization then divides A, B and C, so h is constant.  The charts
-    y = 1 and x = 1 are the same argument with the roles of the
-    coefficients exchanged, and a translation keeps a pair coprime.
     """
     x0, y0, z0 = point.coords
     if z0:
@@ -262,7 +258,7 @@ def chart_germ(form: ProjectiveFoliation, point: ProjectivePoint) -> FoliationGe
     else:
         p = dehomogenize(form.B, 0)
         q = dehomogenize(form.C, 0)
-    return FoliationGerm._coprime(p, q)
+    return FoliationGerm(p, q)
 
 
 def chart_curve(curve: Poly, point: ProjectivePoint) -> CurveGerm:

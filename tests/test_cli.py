@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +15,7 @@ from folgerm.documents import (
     parse_document,
     render_document,
 )
+from folgerm.polynomials import Poly
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 DIVISOR_FIXTURES = ("cusp.fol", "fk5.fol", "node.fol", "radial.fol")
@@ -210,6 +212,34 @@ class TestLocalCommands:
         report = parse_document(out)
         assert report["report"]["verdict"] == "fail"
         assert report["data"]["mu"] == str(k * (2 * k - 1))
+
+    @pytest.mark.parametrize("degree", [8, 10])
+    def test_dense_hamiltonian_germs_in_two_seconds(self, capsys, tmp_path, degree):
+        # df for dense f with x^d and y^d forced; every check proves P, Q,
+        # the divisor and each polar pairwise coprime
+        rng = random.Random(5)
+        for draw in range(3):
+            terms = {}
+            for _ in range(rng.randint(10, 12)):
+                while True:
+                    e = (rng.randint(0, degree), rng.randint(0, degree))
+                    if 2 <= sum(e) <= degree:
+                        break
+                terms[e] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            for e, lead in (((degree, 0), (-9, -5, -2, 1, 3, 7)),
+                            ((0, degree), (-7, -3, 1, 2, 5, 9))):
+                terms[e] = Fraction(rng.choice(lead), rng.randint(1, 4))
+            f = Poly(2, terms)
+            doc = tmp_path / f"dense{draw}.fol"
+            doc.write_text(
+                f"[foliation]\nP = {f.diff(0)}\nQ = {f.diff(1)}\n"
+                f"[divisor]\nzero = {f}\n"
+            )
+            for command in ("invariants", "check-cota", "check-bs"):
+                start = time.perf_counter()
+                code, _, err = run(capsys, command, doc)
+                assert time.perf_counter() - start < 2.0, (command, f)
+                assert (code, err) == (0, ""), (command, f)
 
     def test_reduce_blowup_limit(self, capsys):
         code, out, _ = run(

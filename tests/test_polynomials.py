@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_nonzero_poly, random_poly, sympy_expr
 from folgerm import polynomials, projective
@@ -247,16 +249,97 @@ class TestDivisionAndGcd:
         assert is_squarefree(P("y^2 - x^3"))
 
 
+@st.composite
+def _gcd_pairs(draw):
+    """Small pairs in 2 or 3 variables, some built to share a factor.
+
+    ``planted`` multiplies both by a common factor; ``skip`` multiplies a by
+    x - 7, so that its y- and z-leading coefficients vanish at the first
+    certificate point; ``shared`` draws b in a single variable.
+    """
+    nvars = draw(st.sampled_from((2, 3)))
+    x = Poly.variable(nvars, 0)
+
+    def poly(variables=tuple(range(nvars))):
+        exponent = st.tuples(*(
+            st.integers(0, 2) if i in variables else st.just(0)
+            for i in range(nvars)
+        ))
+        coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+        terms = draw(st.dictionaries(exponent, coeff, min_size=1, max_size=4))
+        p = Poly(nvars, terms)
+        assume(not p.is_zero)
+        return p
+
+    kind = draw(st.sampled_from(("plain", "planted", "skip", "shared")))
+    a = poly()
+    if kind == "shared":
+        return a, poly((draw(st.integers(0, nvars - 1)),))
+    b = poly()
+    if kind == "planted":
+        c = poly()
+        assume(c.total_degree() > 0)
+        return a * c, b * c
+    if kind == "skip":
+        return a * (x - 7), b
+    return a, b
+
+
+class TestCoprimeCertificate:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=120)
+    @given(_gcd_pairs())
+    def test_gcd_and_certificate_against_sympy(self, pair):
+        sympy = pytest.importorskip("sympy")
+        a, b = pair
+        symbols = sympy.symbols("x y z")[: a.nvars]
+        reference = sympy.gcd(*(sympy_expr(p, symbols) for p in pair))
+        g = poly_gcd(a, b)
+        assert sympy.cancel(sympy_expr(g, symbols) / reference).is_number
+        if polynomials._coprime_mod_p(a, b):
+            assert reference.is_number
+
+    def test_skips_a_point_where_a_leading_coefficient_vanishes(self):
+        # the y-leading coefficient x - 7 vanishes at the first point only
+        assert polynomials._coprime_mod_p(P("(x - 7)*y + 1"), P("y^2 + x"))
+        assert polynomials._coprime_mod_p(
+            P("(x - 7)*y*z + 1", nvars=3), P("z^2 + y + x", nvars=3)
+        )
+
+    def test_forced_fallback_gives_the_same_gcds(self, monkeypatch):
+        rng = random.Random(11)
+        pairs = []
+        for nvars in (2, 3):
+            for _ in range(15):
+                a, b, c = (
+                    random_nonzero_poly(rng, nvars=nvars, max_degree=d, max_terms=4)
+                    for d in (3, 3, 2)
+                )
+                pairs += [(a, b), (a * c, b * c)]
+        certified = [poly_gcd(a, b) for a, b in pairs]
+        coprime = [pair for pair, g in zip(pairs, certified) if g.total_degree() == 0]
+        assert len(coprime) >= 20
+        assert all(polynomials._coprime_mod_p(a, b) for a, b in coprime)
+        monkeypatch.setattr(polynomials, "_coprime_mod_p", lambda a, b: False)
+        assert [poly_gcd(a, b) for a, b in pairs] == certified
+
+
 class TestEngineInconsistency:
-    """Cross-checks inside the gcd and the eliminant raise, also under -O."""
+    """Cross-checks inside the gcd and the eliminant raise, also under -O.
+
+    The gcd inputs are a coprime pair, which the modular certificate settles
+    before the remainder sequence; the gcd tests turn it off so that the
+    cross-checks of the remainder sequence still run.
+    """
 
     def test_content_not_dividing_input(self, monkeypatch):
+        monkeypatch.setattr(polynomials, "_coprime_mod_p", lambda a, b: False)
         monkeypatch.setattr(polynomials, "try_exact_div", lambda p, q: None)
         with pytest.raises(EngineInconsistencyError, match="its polynomial"):
             poly_gcd(P("y^2 + x"), P("y + 1"))
 
     def test_content_not_dividing_remainder(self, monkeypatch):
         # the pseudo-remainder of y^2 + x by y + 1 in y is x + 1
+        monkeypatch.setattr(polynomials, "_coprime_mod_p", lambda a, b: False)
         original = polynomials.try_exact_div
         monkeypatch.setattr(
             polynomials,
@@ -284,6 +367,7 @@ class TestEngineInconsistency:
             "        call()\n"
             "    except EngineInconsistencyError:\n"
             "        print('raised', sys.flags.optimize)\n"
+            "polynomials._coprime_mod_p = lambda a, b: False\n"
             "polynomials.try_exact_div = lambda p, q: None\n"
             "attempt(lambda: polynomials.poly_gcd(P('y^2 + x'), P('y + 1')))\n"
             "polynomials.try_exact_div = (\n"

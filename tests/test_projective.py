@@ -194,8 +194,8 @@ class TestChartGerms:
         assert local.poly == parse_poly("x-y", 2)
 
     def test_chart_pairs_are_coprime(self):
-        # chart_germ skips the gcd of FoliationGerm; sympy confirms that
-        # every chart pair is coprime, at every singular point.
+        # singular_points relies on the chart pair being coprime; sympy
+        # confirms it at every singular point, independently of poly_gcd.
         sympy = pytest.importorskip("sympy")
         x, y = sympy.symbols("x y")
         rng = random.Random(8)
