@@ -60,6 +60,31 @@ def _order_in(p: Poly, var: int) -> int:
     return min(m[var] for m in p.terms)
 
 
+def _chart(P: Poly, Q: Poly, var: int) -> tuple[Poly, Poly]:
+    """The pull-back of ``P dx + Q dy`` to chart ``var + 1``, undivided.
+
+    Both charts are monomial maps, so each term goes to one term: chart 1
+    sends x^a y^b to x^(a+b) y^b, chart 2 sends it to x^a y^(a+b).  Only the
+    coefficient that takes both P and Q can cancel.
+    """
+    if var == 0:
+        A = {(a + b, b): c for (a, b), c in P.items()}
+        B = {(a + b + 1, b): c for (a, b), c in Q.items()}
+        shared, extra = A, {(a + b, b + 1): c for (a, b), c in Q.items()}
+    else:
+        A = {(a, a + b + 1): c for (a, b), c in P.items()}
+        B = {(a + 1, a + b): c for (a, b), c in P.items()}
+        shared, extra = B, {(a, a + b): c for (a, b), c in Q.items()}
+    for monomial, c in extra.items():
+        if monomial not in shared:
+            shared[monomial] = c
+        elif value := shared[monomial] + c:
+            shared[monomial] = value
+        else:
+            del shared[monomial]
+    return Poly._trusted(2, A), Poly._trusted(2, B)
+
+
 def _div_power(p: Poly, var: int, k: int) -> Poly:
     if k == 0 or p.is_zero:
         return p
@@ -68,7 +93,7 @@ def _div_power(p: Poly, var: int, k: int) -> Poly:
         e = list(mono)
         e[var] -= k
         terms[tuple(e)] = coeff
-    return Poly(p.nvars, terms)
+    return Poly._trusted(p.nvars, terms)
 
 
 def _common_order(a: Poly, b: Poly, var: int) -> int:
@@ -95,19 +120,9 @@ def blow_up(P: Poly, Q: Poly) -> BlowupResult:
     if P.is_zero and Q.is_zero:
         raise ValueError("zero form")
     nu = min(p.order() for p in (P, Q) if not p.is_zero)
-    x = Poly.variable(2, 0)
-    y = Poly.variable(2, 1)
-
-    Pc = P.substitute({0: x, 1: x * y})
-    Qc = Q.substitute({0: x, 1: x * y})
-    A1 = Pc + y * Qc
-    B1 = x * Qc
+    A1, B1 = _chart(P, Q, 0)
     m1 = _common_order(A1, B1, 0)
-
-    Pc = P.substitute({0: x * y, 1: y})
-    Qc = Q.substitute({0: x * y, 1: y})
-    A2 = y * Pc
-    B2 = x * Pc + Qc
+    A2, B2 = _chart(P, Q, 1)
     m2 = _common_order(A2, B2, 1)
 
     epsilon = m1 - nu

@@ -262,13 +262,42 @@ class Poly:
         return Poly._trusted(nvars_out, total)
 
     def shift(self, offsets: Iterable[Fraction | int]) -> Poly:
-        """Translate: substitute ``x_i + offset_i`` for each variable."""
-        images = {}
-        for i, value in enumerate(offsets):
+        """Translate: substitute ``x_i + offset_i`` for each variable.
+
+        One variable at a time, in integers.  With offset p/q, the terms that
+        agree off variable v form f(v) = sum c_b v^b; over D, the lcm of the
+        denominators of the c_b, and with B = deg f, the integer polynomial
+        g(u) = sum D c_b q^(B-b) u^b satisfies f(v + p/q) = g(qv + p) / (D q^B).
+        So a Taylor shift of g by p gives the v^k coefficient h_k / (D q^(B-k)).
+        """
+        terms = self._terms
+        for var, value in enumerate(offsets):
             value = Fraction(value)
-            if value:
-                images[i] = Poly.variable(self.nvars, i) + value
-        return self.substitute(images) if images else self
+            if not value:
+                continue
+            p, q = value.numerator, value.denominator
+            groups: dict[Monomial, dict[int, Fraction]] = {}
+            for monomial, coeff in terms.items():
+                rest = monomial[:var] + (0,) + monomial[var + 1:]
+                groups.setdefault(rest, {})[monomial[var]] = coeff
+            shifted: dict[Monomial, Fraction] = {}
+            for rest, column in groups.items():
+                top = max(column)
+                scale = 1
+                for c in column.values():
+                    scale = scale * c.denominator // _int_gcd(scale, c.denominator)
+                g = [0] * (top + 1)
+                for b, c in column.items():
+                    g[b] = c.numerator * (scale // c.denominator) * q ** (top - b)
+                for i in range(top):
+                    for j in range(top - 1, i - 1, -1):
+                        g[j] += p * g[j + 1]
+                for k, h in enumerate(g):
+                    if h:
+                        key = rest[:var] + (k,) + rest[var + 1:]
+                        shifted[key] = Fraction(h, scale * q ** (top - k))
+            terms = shifted
+        return self if terms is self._terms else Poly._trusted(self.nvars, terms)
 
     def evaluate(self, point: Iterable[Fraction | int]) -> Fraction:
         values = [Fraction(v) for v in point]

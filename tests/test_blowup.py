@@ -16,7 +16,7 @@ from folgerm.blowup import (
     reduce_germ,
 )
 from folgerm.germs import FoliationGerm
-from folgerm.polynomials import parse_poly
+from folgerm.polynomials import Poly, parse_poly
 
 from conftest import random_nonzero_poly
 
@@ -68,6 +68,31 @@ class TestSingleBlowup:
             nu = min(h.order() for h in (p, q) if not h.is_zero)
             assert data.nu == nu
             assert data.m - nu in (0, 1)
+
+    def test_charts_match_substitution(self):
+        rng = random.Random(412)
+        x, y = (Poly.variable(2, i) for i in range(2))
+        dicritical = 0
+        for i in range(60):
+            p = random_nonzero_poly(rng, min_order=1)
+            q = random_nonzero_poly(rng, min_order=1)
+            if i % 3 == 0:
+                # x*p + y*q has no term of degree nu + 1: a dicritical blow-up
+                g = random_nonzero_poly(rng).lowest_form()
+                shift = g.order() + 1
+                p, q = y * g + p * x**shift, -x * g + q * y**shift
+            data = blow_up(p, q)
+            dicritical += data.dicritical
+            charts = (
+                (p.substitute({1: x * y}) + y * q.substitute({1: x * y}),
+                 x * q.substitute({1: x * y})),
+                (y * p.substitute({0: x * y}),
+                 x * p.substitute({0: x * y}) + q.substitute({0: x * y})),
+            )
+            for var, found, pulled in zip((0, 1), (data.chart1, data.chart2), charts):
+                power = Poly.variable(2, var) ** data.m
+                assert tuple(h * power for h in found) == pulled
+        assert dicritical >= 20
 
 
 class TestClassification:

@@ -153,6 +153,22 @@ class TestArithmetic:
         f = P("x^2 + y")
         assert f.shift([1, -2]) == P("x^2 + 2*x + y - 1")
 
+    def test_shift_matches_substitution(self):
+        rng = random.Random(29)
+        for nvars in (2, 3):
+            for _ in range(40):
+                p = random_poly(rng, nvars=nvars, max_degree=6)
+                offsets = [
+                    Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(nvars)
+                ]
+                offsets[rng.randrange(nvars)] = 0
+                images = {
+                    i: Poly.variable(nvars, i) + value for i, value in enumerate(offsets)
+                }
+                shifted = p.shift(offsets)
+                assert shifted == p.substitute(images)
+                assert all(c for _, c in shifted.items())
+
     def test_evaluate(self):
         f = P("x^2 + 3/4*x*y")
         assert f.evaluate([2, 4]) == Fraction(10)
