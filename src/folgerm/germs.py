@@ -15,21 +15,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .localalg import EngineInconsistencyError, StandardBasis, standard_basis
 from .polynomials import Poly, divides, is_squarefree, poly_gcd
-
-DEFAULT_PROBES: tuple[tuple[int, int], ...] = (
-    (1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2),
-)
 
 
 def probe_pencil(count: int) -> tuple[tuple[int, int], ...]:
     """First ``count`` coprime probe directions, enumerated by height.
 
     Pairs (a, b) with a, b >= 1 and gcd 1, ordered by a + b, then
-    max(a, b), then a; the first seven are exactly ``DEFAULT_PROBES``.
+    max(a, b), then a.  Distinct pairs give distinct slopes b/a.
     """
     if count < 1:
         raise ValueError("need at least one probe")
@@ -137,15 +133,14 @@ def invariance_test(f: FoliationGerm, curve: CurveGerm) -> bool:
     return divides(g, wedge)
 
 
-def validate_balanced(f: FoliationGerm, b: BalancedEquation,
-                      require_reduced: bool = True) -> None:
+def validate_balanced(f: FoliationGerm, b: BalancedEquation) -> None:
     """Raise InvalidBalancedEquationError unless b is usable for f."""
     parts = [("zero", b.zero)] + ([("pole", b.pole)] if b.pole is not None else [])
     if b.pole is not None:
         if poly_gcd(b.zero.poly, b.pole.poly).total_degree() > 0:
             raise InvalidBalancedEquationError("zero and pole parts share a factor")
     for label, part in parts:
-        if require_reduced and not part.is_reduced:
+        if not part.is_reduced:
             raise InvalidBalancedEquationError(f"{label} divisor is not squarefree")
         if not invariance_test(f, part):
             raise InvalidBalancedEquationError(
@@ -210,80 +205,71 @@ def tjurina_foliation(f: FoliationGerm, c: CurveGerm) -> int:
 
 
 def intersection_multiplicity(f: Poly, g: Poly) -> int:
-    """dim of the local ring modulo (f, g) for coprime germs at the origin."""
+    """dim of the local ring modulo (f, g) for curves through the origin.
+
+    A common factor that misses the origin is a unit there and changes
+    nothing; a common branch through the origin raises
+    NonIsolatedSingularityError.
+    """
     if f.is_zero or g.is_zero:
         raise ValueError("intersection with the zero polynomial")
     if f.constant_term() != 0 or g.constant_term() != 0:
         raise ValueError("both curves must pass through the origin")
-    if poly_gcd(f, g).total_degree() > 0:
-        raise ValueError("intersection number of non-coprime curves is infinite")
-    return _finite_quotient([f, g], "the intersection number")
+    return _finite_quotient(
+        [f, g], "the intersection number of curves not coprime at the origin"
+    )
 
 
 @dataclass(frozen=True)
 class PolarCertificate:
-    """Chosen polar with its per-probe invariant table."""
+    """A generic polar and its intersection numbers with the scored curves."""
 
     polar: CurveGerm
     probe: tuple[int, int]
-    table: tuple[dict, ...]
-    certified: bool
     intersections: tuple[int, ...]  # i(polar, c) for each curve c in ``against``
 
 
 def generic_polar(
-    f: FoliationGerm,
-    probes: Iterable[tuple[int, int]] = DEFAULT_PROBES,
-    against: Sequence[CurveGerm] = (),
+    f: FoliationGerm, against: Sequence[CurveGerm] = ()
 ) -> PolarCertificate:
-    """Pick a polar a*P + b*Q by probing a fixed rational pencil.
+    """The first polar a*P + b*Q of ``probe_pencil(K)``, K = sum nu(c) + 3.
 
-    Every probe records the order of its polar and its intersection numbers
-    with the supplied curves; the probe with the smallest record wins, and
-    genericity is certified when at least two probes attain that minimum.
+    A probe scores (ord(a*P + b*Q), i(a*P + b*Q, c) for c in ``against``);
+    one whose local quotient by some c is infinite is scored out.  The
+    lowest score is the generic one, and at least two probes attain it.
+
+    Proof.  Write t = b/a; distinct probes have distinct t.  P and Q are
+    nonzero, so ord(P + tQ) = min(ord P, ord Q) unless t cancels both
+    leading forms, which one t at most does.  Let g(s) parametrize a branch
+    of a curve c.  P(g(s)) and Q(g(s)) do not both vanish, since the
+    singularity is isolated, so ord_s (P + tQ)(g(s)) is the smaller of their
+    orders unless t cancels both leading coefficients, again one t at most.
+    c has at most nu(c) branches, so at most 1 + sum nu(c) probes are
+    special, and each coordinate of a special score is at least its generic
+    value.  The other K - 1 - sum nu(c) >= 2 probes all attain the generic
+    score, which is finite and therefore the lexicographic minimum.
     """
-    probes = tuple(probes)
-    if not probes:
-        raise ValueError("need at least one probe")
-    rows = []
+    if not f.is_singular:
+        raise ValueError("the germ is regular: no polar passes through the origin")
+    require_isolated(f)
+    count = sum(c.order for c in against) + 3
     scored = []
-    for a, b in probes:
+    for a, b in probe_pencil(count):
         candidate = f.P * a + f.Q * b
-        row: dict = {"probe": (a, b)}
-        if candidate.is_zero or candidate.constant_term() != 0:
-            row["degenerate"] = True
-            rows.append(row)
-            scored.append(((float("inf"),), len(scored)))
+        try:
+            intersections = tuple(
+                intersection_multiplicity(candidate, c.poly) for c in against
+            )
+        except NonIsolatedSingularityError:
             continue
-        score: list = [candidate.order()]
-        row["order"] = candidate.order()
-        intersections = []
-        degenerate = False
-        for curve in against:
-            try:
-                value = intersection_multiplicity(candidate, curve.poly)
-            except ValueError:
-                value = None
-                degenerate = True
-            intersections.append(value)
-        row["intersections"] = tuple(intersections)
-        rows.append(row)
-        if degenerate:
-            scored.append(((float("inf"),), len(scored)))
-        else:
-            scored.append((tuple(score + intersections), len(scored)))
-    best_score, best_index = min(scored, key=lambda item: (item[0], item[1]))
-    if best_score[0] == float("inf"):
-        raise ValueError("every probe was degenerate")
-    count = sum(1 for s, _ in scored if s == best_score)
-    a, b = probes[best_index]
-    return PolarCertificate(
-        polar=CurveGerm(f.P * a + f.Q * b),
-        probe=(a, b),
-        table=tuple(rows),
-        certified=count >= 2,
-        intersections=rows[best_index]["intersections"],
-    )
+        scored.append(((candidate.order(),) + intersections, (a, b), candidate))
+    best = min(scored, key=lambda row: row[0], default=None)
+    if best is None or sum(1 for row in scored if row[0] == best[0]) < 2:
+        raise EngineInconsistencyError(
+            f"fewer than two of {count} probes attain the lowest polar score"
+        )
+    score, probe, candidate = best
+    return PolarCertificate(CurveGerm(candidate), probe, score[1:])
 
 
 def tangency_excess(f: FoliationGerm, b: BalancedEquation) -> int:
@@ -310,11 +296,7 @@ class DivisorInvariants:
     delta: int
 
 
-def divisor_invariants(
-    f: FoliationGerm,
-    b: BalancedEquation,
-    probes: Iterable[tuple[int, int]] = DEFAULT_PROBES,
-) -> DivisorInvariants:
+def divisor_invariants(f: FoliationGerm, b: BalancedEquation) -> DivisorInvariants:
     """The divisor quantities of ``check_cota`` and the invariants report, once.
 
     The polar is scored against B0 (and Binf); its certificate already holds
@@ -324,7 +306,7 @@ def divisor_invariants(
     xi = tangency_excess(f, b)
     tau = tjurina_foliation(f, b.zero)
     against = [b.zero] + ([b.pole] if b.pole is not None else [])
-    cert = generic_polar(f, probes, against=against)
+    cert = generic_polar(f, against=against)
     i_zero_pole = 0
     if b.pole is not None:
         i_zero_pole = intersection_multiplicity(b.zero.poly, b.pole.poly)

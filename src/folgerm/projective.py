@@ -90,9 +90,15 @@ class ProjectiveFoliation:
         )
         if not residual.is_zero:
             raise EulerRelationError(residual)
-        common = nonzero[0]
-        for coeff in nonzero[1:]:
-            common = poly_gcd(common, coeff)
+        # A common factor of the triple divides the first coefficient and the
+        # sum of the others, a pair the modular certificate usually settles;
+        # gcd(A, B) alone is often z (omega_F, line arrangements), which
+        # takes the remainder sequence.  The chain runs only to name a factor.
+        common = poly_gcd(nonzero[0], sum(nonzero[1:], Poly.zero(3)))
+        if common.total_degree() > 0:
+            common = nonzero[0]
+            for coeff in nonzero[1:]:
+                common = poly_gcd(common, coeff)
         if common.total_degree() > 0:
             raise ValueError(f"coefficients share the common factor {common}")
         object.__setattr__(self, "degree", degrees.pop() - 1)

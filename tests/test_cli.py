@@ -425,17 +425,34 @@ class TestExitCodes:
         assert code == 2
         assert "common factor" in err
 
+    @pytest.mark.parametrize("command", ["invariants", "check-cota"])
+    def test_regular_germ_has_no_polar(self, capsys, tmp_path, command):
+        doc = tmp_path / "regular.fol"
+        doc.write_text("[foliation]\nP = 0\nQ = 1\n[divisor]\nzero = y\n")
+        code, out, err = run(capsys, command, doc)
+        assert code == 2
+        assert out == ""
+        assert err == "error: the germ is regular: no polar passes through the origin\n"
+
+    def test_probes_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["invariants", str(FIXTURES / "cusp.fol"), "--probes", "7"])
+        assert info.value.code == 2
+        assert "--probes" in capsys.readouterr().err
+
 
 class TestDivisorInvariants:
     """``invariants`` and ``check-cota`` read one divisor block."""
 
     @pytest.mark.parametrize(
-        "fixture, calls", [("radial.fol", 15), ("cusp.fol", 7)]
+        "fixture, calls", [("radial.fol", 14), ("cusp.fol", 5)]
     )
     @pytest.mark.parametrize("command", ["invariants", "check-cota"])
     def test_intersection_calls(self, capsys, monkeypatch, fixture, calls, command):
-        # 7 probes against zero (and pole), plus i(zero, pole) when there is a
-        # pole: the polar's own intersections come from its certificate.
+        # nu(zero) + nu(pole) + 3 probes (7 on radial, 5 on cusp) against zero
+        # (and pole), plus i(zero, pole) when there is a pole; the radial probe
+        # (1, 1) stops at its infinite i(x - y, zero).  The polar's own
+        # intersections come from its certificate.
         original = germs.intersection_multiplicity
         seen = []
 

@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_nonzero_poly
+from folgerm import germs
 from folgerm.germs import (
     BalancedEquation,
     CurveGerm,
@@ -26,7 +29,7 @@ from folgerm.germs import (
     tjurina_foliation,
     validate_balanced,
 )
-from folgerm.localalg import stabilized_macaulay_dim
+from folgerm.localalg import EngineInconsistencyError, stabilized_macaulay_dim
 from folgerm.polynomials import Poly, parse_poly
 
 
@@ -169,6 +172,9 @@ class TestIntersection:
         with pytest.raises(ValueError, match="origin"):
             intersection_multiplicity(P("x"), P("1 + y"))
 
+    def test_common_factor_off_the_origin_is_a_unit(self):
+        assert intersection_multiplicity(P("x*(1 + y)"), P("y*(1 + y)")) == 1
+
     def test_additive_in_products(self):
         rng = random.Random(43)
         done = 0
@@ -204,27 +210,77 @@ class TestIntersection:
             done += 1
 
 
+def _direct_score(germ, probe, against):
+    """(ord, i(polar, c) for c in against) of one probe; None if scored out."""
+    a, b = probe
+    polar = germ.P * a + germ.Q * b
+    try:
+        return (polar.order(),) + tuple(
+            intersection_multiplicity(polar, c.poly) for c in against
+        )
+    except NonIsolatedSingularityError:
+        return None
+
+
+@st.composite
+def _small_polys(draw, min_order, max_degree, max_terms):
+    exponents = st.tuples(st.integers(0, max_degree), st.integers(0, max_degree))
+    terms = draw(st.dictionaries(
+        exponents.filter(lambda m: min_order <= sum(m) <= max_degree),
+        st.integers(-5, 5).filter(bool),
+        min_size=1,
+        max_size=max_terms,
+    ))
+    return Poly(2, {m: Fraction(c) for m, c in terms.items()})
+
+
+@st.composite
+def _polar_cases(draw):
+    """A germ and curves, often with one probe planted to be special.
+
+    The planted probe (a, b) makes a*P + b*Q a multiple of a factor of a
+    curve: a branch through the origin, or a unit factor 1 + y that a global
+    gcd would also see.
+    """
+    branch = draw(_small_polys(1, 2, 3))
+    unit = draw(st.sampled_from([P("1"), P("1 + y")]))
+    curves = [CurveGerm(branch * unit)]
+    if draw(st.booleans()):
+        curves.append(CurveGerm(draw(_small_polys(1, 2, 2))))
+    Q = draw(_small_polys(1, 3, 4))
+    if draw(st.booleans()):
+        a, b = draw(st.sampled_from(probe_pencil(6)))
+        shared = draw(st.sampled_from([branch, unit]))
+        planted = shared * draw(_small_polys(1, 2, 3))
+        first = (planted - Q * b) * Fraction(1, a)
+    else:
+        first = draw(_small_polys(1, 3, 4))
+    assume(not first.is_zero)
+    try:
+        germ = FoliationGerm(first, Q)
+    except ValueError:
+        assume(False)
+    return germ, curves
+
+
 class TestGenericPolar:
     def test_radial_table(self):
-        cert = generic_polar(radial(), against=[RADIAL_B.zero, RADIAL_B.pole])
-        assert cert.certified
+        against = [RADIAL_B.zero, RADIAL_B.pole]
+        cert = generic_polar(radial(), against=against)
         assert cert.polar.order == 1
-        # Probe (1, 1) gives the polar x - y, a branch of x*y*(x-y): scored out.
-        degenerate = [row for row in cert.table if None in row["intersections"]]
-        assert [row["probe"] for row in degenerate] == [(1, 1)]
-        for row in cert.table:
-            if row in degenerate:
-                continue
-            assert row["intersections"] == (3, 1)
-        assert cert.probe != (1, 1)
+        # K = 3 + 1 + 3 probes.  Probe (1, 1) gives the polar x - y, a branch
+        # of x*y*(x-y): scored out.
+        scores = [_direct_score(radial(), probe, against) for probe in probe_pencil(7)]
+        assert scores == [None] + [(1, 3, 1)] * 6
+        assert cert.probe == (1, 2)
+        assert cert.intersections == (3, 1)
 
     def test_cusp_polar(self):
         cert = generic_polar(cusp(), against=[CUSP_B.zero])
-        assert cert.certified
         # -3a x^2 + 2b y: smooth, meets the cusp with multiplicity 3.
         assert cert.polar.order == 1
-        for row in cert.table:
-            assert row["intersections"] == (3,)
+        for probe in probe_pencil(5):
+            assert _direct_score(cusp(), probe, [CUSP_B.zero]) == (1, 3)
 
     def test_certificate_intersections_match_direct_calls(self):
         # seeded corpus: df against f and a random curve through the origin
@@ -236,25 +292,68 @@ class TestGenericPolar:
             try:
                 germ = FoliationGerm(f.diff(0), f.diff(1))
                 against = [CurveGerm(f), CurveGerm(g)]
-                cert = generic_polar(germ, probe_pencil(9), against=against)
+                cert = generic_polar(germ, against=against)
             except ValueError:
                 continue
             direct = tuple(
                 intersection_multiplicity(cert.polar.poly, c.poly) for c in against
             )
             assert cert.intersections == direct
-            winner = [row for row in cert.table if row["probe"] == cert.probe]
-            assert winner[0]["intersections"] == direct
+            assert _direct_score(germ, cert.probe, against)[1:] == direct
             done += 1
 
     def test_degenerate_probe_is_scored_out(self):
-        # P + Q shares the line x + y with the zero divisor for probe (1, 1).
+        # P + Q shares the line x - y with the zero divisor for probe (1, 1).
         f = FoliationGerm(P("-y"), P("x"))
-        cert = generic_polar(
-            f, probes=((1, 1), (1, 2), (2, 1)),
-            against=[CurveGerm(P("x - y"))],
-        )
+        cert = generic_polar(f, against=[CurveGerm(P("x - y"))])
         assert cert.probe == (1, 2)
+
+    def test_seven_parabolas_give_a_generalized_curve(self):
+        # Each of the first seven probes is tangent to one parabola
+        # y = t*x + x^2, so all seven are special; two of them tie.
+        f = P("1")
+        for t in ("1", "2", "1/2", "3", "1/3", "3/2", "2/3"):
+            f = f * P(f"y - {t}*x - x^2")
+        germ = FoliationGerm(f.diff(0), f.diff(1))
+        inv = divisor_invariants(germ, BalancedEquation(CurveGerm(f)))
+        assert inv.polar.probe == (1, 4)
+        assert inv.delta == 0
+
+    def test_seven_probe_lines(self):
+        # Every polar b*x - a*y of the first seven probes is a branch.
+        lines = CurveGerm(P("(x-y)*(2*x-y)*(x-2*y)*(3*x-y)*(x-3*y)*(3*x-2*y)*(2*x-3*y)"))
+        cert = generic_polar(radial(), against=[lines])
+        assert cert.probe == (1, 4)
+        assert cert.intersections == (7,)
+
+    def test_regular_germ_has_no_polar(self):
+        f = FoliationGerm(Poly.zero(2), P("1"))
+        with pytest.raises(ValueError, match="regular"):
+            generic_polar(f, against=[CurveGerm(P("y"))])
+
+    def test_non_isolated_germ_rejected(self):
+        f = FoliationGerm(Poly.zero(2), P("x"))
+        with pytest.raises(NonIsolatedSingularityError):
+            generic_polar(f, against=[CurveGerm(P("x"))])
+
+    def test_one_probe_is_an_engine_inconsistency(self, monkeypatch):
+        # The count guarantees two probes at the lowest score; one probe
+        # cannot show it, and the check raises under python -O as well.
+        monkeypatch.setattr(germs, "probe_pencil", lambda count: ((1, 1),))
+        with pytest.raises(EngineInconsistencyError, match="fewer than two"):
+            generic_polar(cusp(), against=[CUSP_B.zero])
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(_polar_cases())
+    def test_generic_score_is_the_pencil_minimum(self, case):
+        germ, against = case
+        cert = generic_polar(germ, against=against)
+        count = sum(c.order for c in against) + 3
+        scores = [_direct_score(germ, probe, against) for probe in probe_pencil(count + 6)]
+        best = min(score for score in scores if score is not None)
+        assert (cert.polar.order,) + cert.intersections == best
+        assert scores[:count].count(best) >= 2
+        assert cert.probe == probe_pencil(count)[scores.index(best)]
 
 
 class TestExcessAndTangency:

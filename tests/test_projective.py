@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from folgerm import projective
 from folgerm.germs import FoliationGerm, multiplicity, milnor_foliation
-from folgerm.polynomials import Poly, dehomogenize, parse_poly
+from folgerm.polynomials import Poly, dehomogenize, parse_poly, poly_gcd
 from folgerm.projective import (
     EulerRelationError,
     ProjectiveFoliation,
@@ -136,6 +137,26 @@ class TestValidation:
             ProjectiveFoliation(*omega(0))
         with pytest.raises(EulerRelationError):
             ProjectiveFoliation(H("y*z"), H("x*z"), H("x*y"))
+
+    def test_coprime_triple_with_common_pairwise_factors(self, monkeypatch):
+        # gcd(A, B) = z, gcd(A, C) = y, gcd(B, C) = x, and gcd(A, B, C) = 1:
+        # one gcd, of A and B + C, settles the triple.
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return poly_gcd(a, b)
+
+        monkeypatch.setattr(projective, "poly_gcd", counted)
+        form = ProjectiveFoliation(H("y*z"), H("x*z"), H("-2*x*y"))
+        assert form.degree == 1
+        assert len(calls) == 1
+
+    def test_triple_common_factor_is_named(self):
+        with pytest.raises(ValueError, match=r"share the common factor x \+ y"):
+            ProjectiveFoliation(
+                H("y*z*(x+y)"), H("x*z*(x+y)"), H("-2*x*y*(x+y)")
+            )
 
 
 class TestSingularPoints:
