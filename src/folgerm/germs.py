@@ -6,8 +6,10 @@ origin.  A balanced equation pairs an effective (zero) curve with an
 optional pole curve; every branch must be invariant, which for squarefree
 equations is certified by a single wedge-product divisibility test.
 
-All dimension counts go through standard bases of the local ring; the
-intersection number, Milnor and Tjurina numbers are quotient dimensions.
+Milnor and Tjurina numbers are dimensions of local quotients, computed by
+standard bases of the local ring; the intersection number of two curves is
+the x-order of a resultant (``polynomials.intersection_at_origin``), which
+shares no code with the standard bases.
 """
 
 from __future__ import annotations
@@ -18,7 +20,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from .localalg import EngineInconsistencyError, StandardBasis, standard_basis
-from .polynomials import Poly, divides, is_squarefree, poly_gcd
+from .polynomials import (
+    Poly,
+    divides,
+    intersection_at_origin,
+    is_squarefree,
+    poly_gcd,
+)
 
 
 def probe_pencil(count: int) -> tuple[tuple[int, int], ...]:
@@ -207,17 +215,20 @@ def tjurina_foliation(f: FoliationGerm, c: CurveGerm) -> int:
 def intersection_multiplicity(f: Poly, g: Poly) -> int:
     """dim of the local ring modulo (f, g) for curves through the origin.
 
-    A common factor that misses the origin is a unit there and changes
-    nothing; a common branch through the origin raises
-    NonIsolatedSingularityError.
+    Computed by ``intersection_at_origin``.  A common factor that misses the
+    origin is a unit there and changes nothing; a common branch through the
+    origin raises NonIsolatedSingularityError.
     """
     if f.is_zero or g.is_zero:
         raise ValueError("intersection with the zero polynomial")
     if f.constant_term() != 0 or g.constant_term() != 0:
         raise ValueError("both curves must pass through the origin")
-    return _finite_quotient(
-        [f, g], "the intersection number of curves not coprime at the origin"
-    )
+    value = intersection_at_origin(f, g)
+    if value is None:
+        raise NonIsolatedSingularityError(
+            "the intersection number of curves not coprime at the origin is infinite"
+        )
+    return value
 
 
 @dataclass(frozen=True)

@@ -263,7 +263,10 @@ def stabilized_macaulay_dim(gens: Sequence[Poly]) -> int | None:
     N + 2 put m^N inside I (Nakayama), so they are the colength.  A value
     above the Bezout bound d^n proves the quotient infinite: the result is
     then None, as from ``quotient_dim``.  This is a second truncation
-    schedule over the same rows as ``standard_basis``.
+    schedule over the same rows as ``standard_basis``, not an independent
+    check; the package no longer calls it (the ``mu_oracle`` of
+    ``invariants`` comes from ``polynomials.intersection_at_origin``), and
+    it stays for the benchmark's closed-form checks.
     """
     degree = max(g.total_degree() for g in gens if not g.is_zero)
     bezout = degree ** gens[0].nvars

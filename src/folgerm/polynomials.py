@@ -13,6 +13,7 @@ a parse/print round trip.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb as _comb
 from math import gcd as _int_gcd
 from typing import Iterable, Mapping
 
@@ -749,3 +750,190 @@ def dehomogenize(p: Poly, axis: int) -> Poly:
         else:
             result.pop(key, None)
     return Poly(2, result)
+
+
+# -- intersection numbers by resultants ------------------------------------
+#
+# Z[x] is a list of ints, lowest power first, without trailing zeros (the
+# zero polynomial is []); Z[x][y] is a list of those, lowest power of y first,
+# with a nonzero last entry.
+
+
+def _zx_sub(a: list[int], b: list[int]) -> list[int]:
+    out = a + [0] * (len(b) - len(a)) if len(a) < len(b) else list(a)
+    for i, v in enumerate(b):
+        out[i] -= v
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zx_mul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    if len(a) == 1:
+        return [a[0] * v for v in b]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+    return out
+
+
+def _zx_pow(a: list[int], n: int) -> list[int]:
+    out = [1]
+    for _ in range(n):
+        out = _zx_mul(out, a)
+    return out
+
+
+def _zx_div(a: list[int], b: list[int]) -> list[int]:
+    """The quotient a / b in Z[x]; the subresultant theorem makes it exact."""
+    a = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for k in reversed(range(len(q))):
+        q[k] = c = a[k + len(b) - 1] // b[-1]
+        for j, v in enumerate(b):
+            a[k + j] -= c * v
+    if any(a):
+        raise EngineInconsistencyError("a subresultant division is not exact")
+    return q
+
+
+def _prem(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """lc(b)^(deg a - deg b + 1) * a modulo b, in Z[x][y]."""
+    lead, r = b[-1], list(a)
+    spare = len(a) - len(b) + 1
+    while len(r) >= len(b):
+        top, shift = r.pop(), len(r) + 1 - len(b)
+        r = [_zx_mul(lead, c) for c in r]
+        for j, c in enumerate(b[:-1]):
+            r[shift + j] = _zx_sub(r[shift + j], _zx_mul(top, c))
+        while r and not r[-1]:
+            r.pop()
+        spare -= 1
+    scale = _zx_pow(lead, spare)
+    return [_zx_mul(scale, c) for c in r]
+
+
+def _resultant(a: list[list[int]], b: list[list[int]]) -> list[int]:
+    """Res_y(a, b) in Z[x] for a, b in Z[x][y], not both constant in y.
+
+    The subresultant pseudo-remainder sequence (Collins 1967; Brown and
+    Traub 1971), as in Cohen, *A Course in Computational Algebraic Number
+    Theory*, Algorithm 3.3.7, without taking contents.
+    """
+    sign = 1
+    if len(a) < len(b):
+        a, b = b, a
+        sign = -1 if (len(a) - 1) * (len(b) - 1) % 2 else 1
+    g = h = [1]
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        if (len(a) - 1) % 2 and (len(b) - 1) % 2:
+            sign = -sign
+        r = _prem(a, b)
+        if not r:
+            return []
+        divisor = _zx_mul(g, _zx_pow(h, delta))
+        a, b = b, [_zx_div(c, divisor) for c in r]
+        g = a[-1]
+        if delta:
+            h = _zx_div(_zx_pow(g, delta), _zx_pow(h, delta - 1))
+    n = len(a) - 1
+    h = _zx_div(_zx_pow(b[0], n), _zx_pow(h, n - 1))
+    return [sign * v for v in h]
+
+
+def _sheared(p: Poly, c: int) -> list[list[int]]:
+    """p(x + c*y, y) in Z[x][y], times the lcm of p's denominators."""
+    scale = 1
+    for v in p._terms.values():
+        scale = scale * v.denominator // _int_gcd(scale, v.denominator)
+    rows: dict[int, dict[int, int]] = {}
+    for (i, j), v in p._terms.items():
+        v = v.numerator * (scale // v.denominator)
+        for k in range(i + 1) if c else (i,):
+            row = rows.setdefault(j + i - k, {})
+            row[k] = row.get(k, 0) + v * _comb(i, k) * c ** (i - k)
+    out = []
+    for e in range(max(rows) + 1):
+        row = rows.get(e, {})
+        coeffs = [row.get(k, 0) for k in range(max(row, default=-1) + 1)]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        out.append(coeffs)
+    while not out[-1]:
+        out.pop()
+    return out
+
+
+def _on_axis_only_at_origin(a: list[list[int]], b: list[list[int]]) -> bool:
+    """Whether gcd(a(0, y), b(0, y)) is a power of y; a(0, y) is nonzero."""
+    images = []
+    for p in (a, b):
+        values = [c[0] if c else 0 for c in p]
+        while values and not values[-1]:
+            values.pop()
+        while values and not values[0]:
+            values.pop(0)
+        images.append([[v] if v else [] for v in values])
+    if not images[1]:
+        return len(images[0]) == 1
+    return min(map(len, images)) == 1 or bool(_resultant(*images))
+
+
+def intersection_at_origin(f: Poly, g: Poly) -> int | None:
+    """i_0(f, g) = dim O/(f, g) at the origin of the plane; None when infinite.
+
+    0 when f or g is a unit there.  Otherwise shear x -> x + c*y for the
+    first c = 0, 1, 2, ... at which f or g has a constant y-leading
+    coefficient and gcd(f(0, y), g(0, y)) is a power of y; then i_0(f, g) is
+    the x-order of Res_y(f, g) (Fulton, *Algebraic Curves*, ch. 1 and 3):
+    the roots y(x) of the component with constant leading coefficient are
+    Puiseux series, and each counts ord_x of the other component along it,
+    which sums to the intersection numbers at the points (0, y(0)), and the
+    gcd leaves the origin as the only such common zero.
+
+    A coprime pair of degrees d, e misses the first condition for at most
+    min(d, e) values of c (the roots of the top forms at (c, 1)) and the
+    second for at most d*e (one per common zero off the origin, by Bezout),
+    so past d*e + max(d, e) values the loop raises.  A common factor shows
+    as a zero resultant, or as a failed second condition that the mod-p
+    coprimality certificate does not explain; only then does ``poly_gcd``
+    run.  A common factor through the origin makes the quotient infinite;
+    any other one is a unit there and is divided out.
+    """
+    if f.nvars != 2 or g.nvars != 2:
+        raise ValueError("intersection numbers need two variables")
+    if f.constant_term() or g.constant_term():
+        return 0
+    if f.is_zero or g.is_zero:
+        return None
+    c = 0
+    while True:
+        degrees = (f.total_degree(), g.total_degree())
+        if c > degrees[0] * degrees[1] + max(degrees):
+            raise EngineInconsistencyError(
+                f"no shear up to x + {c - 1}*y isolates the origin of a coprime pair"
+            )
+        a, b = _sheared(f, c), _sheared(g, c)
+        if len(a[-1]) > 1:
+            a, b = b, a
+        c += 1
+        if len(a[-1]) > 1:
+            continue
+        if _on_axis_only_at_origin(a, b):
+            res = _resultant(a, b)
+            if res:
+                return next(i for i, v in enumerate(res) if v)
+        elif _coprime_mod_p(f, g):
+            continue
+        common = poly_gcd(f, g)
+        if common.total_degree() == 0:
+            continue
+        if common.constant_term() == 0:
+            return None
+        f, g = try_exact_div(f, common), try_exact_div(g, common)
+        c = 0

@@ -15,7 +15,7 @@ from folgerm.documents import (
     parse_document,
     render_document,
 )
-from folgerm.polynomials import Poly
+from folgerm.polynomials import EngineInconsistencyError, Poly, parse_poly
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 DIVISOR_FIXTURES = ("cusp.fol", "fk5.fol", "node.fol", "radial.fol")
@@ -111,9 +111,8 @@ class TestLocalCommands:
     @pytest.mark.parametrize(
         "P, Q, mu",
         [
-            # the oracle's first truncation is 2*32 + 2 = 66
+            # high degree, low mu
             ("y + x^32", "x", "1"),
-            # the oracle climbs from truncation 64 to 66 before it agrees
             ("y^2 - x^31", "x*y", "33"),
         ],
     )
@@ -125,6 +124,40 @@ class TestLocalCommands:
         report = parse_document(out)
         assert report["report"]["verdict"] == "pass"
         assert report["data"]["mu"] == report["data"]["mu_oracle"] == mu
+
+    def test_oracle_disagreement_is_an_engine_inconsistency(self, capsys, monkeypatch):
+        # mu and mu_oracle come from independent routes; a disagreement is
+        # an engine fault, not a verdict, and raises under python -O too
+        monkeypatch.setattr(cli, "intersection_at_origin", lambda f, g: 2)
+        with pytest.raises(EngineInconsistencyError, match="mu_oracle = 2 .* mu = 1"):
+            main(["invariants", str(FIXTURES / "radial.fol")])
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("name", ["fk20", "seven_parabolas"])
+    def test_invariants_on_large_germs_in_two_seconds(self, capsys, tmp_path, name):
+        # fk(20) has mu = 780; the df of the seven parabolas y = t*x + x^2
+        # has degree 13.  The oracle and the polar's intersection numbers
+        # are resultants, and no Macaulay matrix of that size is built for them.
+        if name == "fk20":
+            k = 20
+            P, Q = (
+                f"y*(2*x^{2 * k - 2}+4*x^2*y^{k - 2}-y^{k - 1})",
+                f"x*(y^{k - 1}-2*x^2*y^{k - 2}-x^{2 * k - 2})",
+            )
+            zero, mu = "x*y", k * (2 * k - 1)
+        else:
+            f = Poly.constant(2, 1)
+            for t in ("1", "2", "1/2", "3", "1/3", "3/2", "2/3"):
+                f = f * parse_poly(f"y - {t}*x - x^2", 2)
+            P, Q, zero, mu = f.diff(0), f.diff(1), f, 36
+        doc = tmp_path / f"{name}.fol"
+        doc.write_text(f"[foliation]\nP = {P}\nQ = {Q}\n[divisor]\nzero = {zero}\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "invariants", doc)
+        assert time.perf_counter() - start < 2.0
+        assert (code, err) == (0, "")
+        data = parse_document(out)["data"]
+        assert data["mu"] == data["mu_oracle"] == str(mu)
 
     def test_check_bs_radial_passes(self, capsys):
         code, out, _ = run(capsys, "check-bs", FIXTURES / "radial.fol")

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_nonzero_poly
-from folgerm import germs
+from folgerm import germs, linalg, localalg
 from folgerm.germs import (
     BalancedEquation,
     CurveGerm,
@@ -30,7 +30,7 @@ from folgerm.germs import (
     validate_balanced,
 )
 from folgerm.localalg import EngineInconsistencyError, stabilized_macaulay_dim
-from folgerm.polynomials import Poly, parse_poly
+from folgerm.polynomials import Poly, intersection_at_origin, parse_poly
 
 
 def P(text, **params):
@@ -158,6 +158,21 @@ class TestQuotientInvariants:
 
 
 class TestIntersection:
+    def test_runs_no_local_engine_code(self, monkeypatch):
+        # The resultant route shares no code with the standard bases: with
+        # both eliminations disabled, the mu oracle and a polar still run.
+        def disabled(*args, **kwargs):
+            raise AssertionError("the resultant route reached an elimination")
+
+        for module, name in ((localalg, "_echelon"), (localalg, "sparse_int_echelon"),
+                             (linalg, "sparse_int_echelon")):
+            monkeypatch.setattr(module, name, disabled)
+        assert intersection_at_origin(fk(4).P, fk(4).Q) == 4 * 7
+        assert intersection_at_origin(cusp().P, cusp().Q) == 2
+        # the probe (1, 1) shares the branch x - y with the zero divisor
+        cert = generic_polar(radial(), against=[RADIAL_B.zero, RADIAL_B.pole])
+        assert (cert.probe, cert.intersections) == ((1, 2), (3, 1))
+
     def test_examples(self):
         assert intersection_multiplicity(P("x"), P("y")) == 1
         assert intersection_multiplicity(P("x*y*(x-y)"), P("x+y")) == 3

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 from conftest import random_nonzero_poly, random_poly, sympy_expr
 from folgerm import polynomials, projective
-from folgerm.localalg import EngineInconsistencyError
+from folgerm.localalg import EngineInconsistencyError, standard_basis
 from folgerm.polynomials import (
     Poly,
     PolyParseError,
     dehomogenize,
     divides,
+    intersection_at_origin,
     is_squarefree,
     parse_poly,
     poly_gcd,
@@ -337,6 +338,110 @@ class TestCoprimeCertificate:
         assert all(polynomials._coprime_mod_p(a, b) for a, b in coprime)
         monkeypatch.setattr(polynomials, "_coprime_mod_p", lambda a, b: False)
         assert [poly_gcd(a, b) for a, b in pairs] == certified
+
+
+@st.composite
+def _curve_pairs(draw):
+    """Two curves through the origin and their colength, or None if infinite.
+
+    Each feature is drawn on its own: a common zero (0, b) with b != 0 on
+    the line x = 0, which forces a shear; an added x*y^m on top of each
+    curve, so that neither has a constant y-leading coefficient at c = 0; a
+    unit common factor 1 + y; and a common branch through the origin.
+    """
+    def small(min_order, max_degree, max_terms=3):
+        exponents = st.tuples(st.integers(0, max_degree), st.integers(0, max_degree))
+        terms = draw(st.dictionaries(
+            exponents.filter(lambda m: min_order <= sum(m) <= max_degree),
+            st.integers(-5, 5).filter(bool),
+            min_size=1,
+            max_size=max_terms,
+        ))
+        return Poly(2, {m: Fraction(c) for m, c in terms.items()})
+
+    x, y = P("x"), P("y")
+    if draw(st.booleans()):
+        b = draw(st.sampled_from([-2, -1, 1, 3]))
+        f, g = (x * small(0, 1) + y * (y - b) * small(0, 1) for _ in range(2))
+    else:
+        f, g = small(1, 3, 4), small(1, 3, 4)
+    assume(not f.is_zero and not g.is_zero)
+    if draw(st.booleans()):
+        f, g = (p + x * y ** (p.degree_in(1) + 1) for p in (f, g))
+    if draw(st.booleans()):
+        f, g = f * (1 + y), g * (1 + y)
+    if draw(st.booleans()):
+        branch = small(1, 2)
+        return f * branch, g * branch, None
+    return f, g, standard_basis([f, g]).quotient_dim()
+
+
+class TestIntersectionAtOrigin:
+    def test_examples(self):
+        assert intersection_at_origin(P("x"), P("y")) == 1
+        assert intersection_at_origin(P("y^2 - x^3"), P("y - x^2")) == 3
+        assert intersection_at_origin(P("x*(1 + y)"), P("y*(1 + y)")) == 1
+        assert intersection_at_origin(P("x*y"), P("x")) is None
+        # a unit gives 0 and the zero polynomial an infinite quotient
+        assert intersection_at_origin(P("x"), P("1 + y")) == 0
+        assert intersection_at_origin(Poly.zero(2), P("1")) == 0
+        assert intersection_at_origin(Poly.zero(2), P("x")) is None
+        with pytest.raises(ValueError, match="two variables"):
+            intersection_at_origin(P("x", nvars=3), P("y", nvars=3))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(_curve_pairs())
+    def test_matches_the_local_engine(self, case):
+        f, g, colength = case
+        assert intersection_at_origin(f, g) == colength
+
+    def test_resultant_is_the_sylvester_determinant(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.subresultants_qq_zz import sylvester
+
+        x, y = sympy.symbols("x y")
+        rng = random.Random(19)
+        for _ in range(25):
+            a, b = (
+                [[rng.randint(-4, 4) for _ in range(rng.randint(0, 2))]
+                 for _ in range(rng.randint(1, 4))] + [[rng.randint(1, 3), 1]]
+                for _ in range(2)
+            )
+            for c in a + b:
+                while c and not c[-1]:
+                    c.pop()
+            res = polynomials._resultant(a, b)
+            a_expr, b_expr = (
+                sum(sum(v * x**i for i, v in enumerate(c)) * y**j for j, c in enumerate(p))
+                for p in (a, b)
+            )
+            # sympy's resultant can differ in sign from the Sylvester
+            # determinant; both sides have x-degree at most 8 here
+            matrix = sylvester(a_expr, b_expr, y)
+            for t in range(-4, 5):
+                value = sum(v * t**i for i, v in enumerate(res))
+                assert value == matrix.subs(x, t).det(method="bareiss")
+
+    def test_common_zero_on_the_axis_forces_a_shear(self, monkeypatch):
+        # x = 0 meets both curves at (0, 1) too; neither y-leading
+        # coefficient of (y - x)^2 + x*y^2 and x*y^3 - y*(y - 1) is constant at
+        # c = 0 in the second pair
+        shears = []
+        sheared = polynomials._sheared
+        monkeypatch.setattr(
+            polynomials, "_sheared", lambda p, c: shears.append(c) or sheared(p, c)
+        )
+        for f, g in [(P("x + y*(y - 1)"), P("2*x - y*(y - 1)")),
+                     (P("x*y^2 + x"), P("x*y^3 - y*(y - 1)"))]:
+            shears.clear()
+            assert intersection_at_origin(f, g) == standard_basis([f, g]).quotient_dim()
+            assert shears[-1] == 1
+
+    def test_no_good_shear_is_an_engine_inconsistency(self, monkeypatch):
+        # a coprime pair of degrees 3 and 2 has at most 3*2 + 3 bad shears
+        monkeypatch.setattr(polynomials, "_on_axis_only_at_origin", lambda a, b: False)
+        with pytest.raises(EngineInconsistencyError, match=r"x \+ 9\*y"):
+            intersection_at_origin(P("y^2 - x^3"), P("x*y"))
 
 
 class TestEngineInconsistency:
