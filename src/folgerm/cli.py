@@ -4,8 +4,10 @@ Every subcommand reads a sectioned key/value document, runs one
 computation, and emits a single report — the same sectioned text format by
 default, JSON with ``--json``.  Reports are deterministic: identical input
 and flags give byte-identical output.  Exit status is 0 for a passing (or
-not-applicable) check, 1 for a failing one, and 2 for any input problem:
-unreadable file, malformed document, ill-posed germ.
+not-applicable) check, 1 for a failing one, 2 for any input problem
+(unreadable file, malformed document, ill-posed germ), and 4 when two exact
+routes to one fact disagree (``EngineInconsistencyError``), a fault of the
+engine rather than a verdict.
 """
 
 from __future__ import annotations
@@ -281,6 +283,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DocumentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except EngineInconsistencyError as exc:
+        print(f"error: engine inconsistency: {exc}", file=sys.stderr)
+        return 4
     output = render_json(report) if args.json else render_text(report)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

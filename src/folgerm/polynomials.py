@@ -15,6 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb as _comb
 from math import gcd as _int_gcd
+from math import lcm as _lcm
+from operator import add as _add
 from typing import Iterable, Mapping
 
 Monomial = tuple[int, ...]
@@ -140,14 +142,8 @@ class Poly:
         if not isinstance(other, Poly):
             other = Poly.constant(self.nvars, other)
         self._check_arity(other)
-        result = dict(self._terms)
-        for monomial, coeff in other._terms.items():
-            total = result.get(monomial, 0) + coeff
-            if total:
-                result[monomial] = total
-            else:
-                result.pop(monomial, None)
-        return Poly._trusted(self.nvars, result)
+        terms = _add_terms(dict(self._terms), other._terms.items())
+        return Poly._trusted(self.nvars, terms)
 
     __radd__ = __add__
 
@@ -170,16 +166,7 @@ class Poly:
             scaled = {m: c * value for m, c in self._terms.items()}
             return Poly._trusted(self.nvars, scaled)
         self._check_arity(other)
-        result: dict[Monomial, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                key = tuple(a + b for a, b in zip(m1, m2))
-                total = result.get(key, 0) + c1 * c2
-                if total:
-                    result[key] = total
-                else:
-                    result.pop(key, None)
-        return Poly._trusted(self.nvars, result)
+        return Poly._trusted(self.nvars, _add_product({}, self._terms, other._terms))
 
     __rmul__ = __mul__
 
@@ -187,13 +174,8 @@ class Poly:
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
         result = Poly.constant(self.nvars, 1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        for _ in range(exponent):
+            result = result * self
         return result
 
     def __eq__(self, other: object) -> bool:
@@ -219,7 +201,7 @@ class Poly:
             lowered = list(monomial)
             lowered[var] = e - 1
             result[tuple(lowered)] = coeff * e
-        return Poly(self.nvars, result)
+        return Poly._trusted(self.nvars, result)
 
     def substitute(self, images: Mapping[int, Poly]) -> Poly:
         """Substitute ``images[i]`` for variable ``i`` (identity if missing)."""
@@ -254,12 +236,7 @@ class Poly:
             for i, e in enumerate(monomial):
                 if e:
                     term = term * powers[i][e]
-            for m, c in term._terms.items():
-                value = total.get(m, 0) + c
-                if value:
-                    total[m] = value
-                else:
-                    total.pop(m, None)
+            _add_terms(total, term._terms.items())
         return Poly._trusted(nvars_out, total)
 
     def shift(self, offsets: Iterable[Fraction | int]) -> Poly:
@@ -284,9 +261,7 @@ class Poly:
             shifted: dict[Monomial, Fraction] = {}
             for rest, column in groups.items():
                 top = max(column)
-                scale = 1
-                for c in column.values():
-                    scale = scale * c.denominator // _int_gcd(scale, c.denominator)
+                scale = _lcm(*(c.denominator for c in column.values()))
                 g = [0] * (top + 1)
                 for b, c in column.items():
                     g[b] = c.numerator * (scale // c.denominator) * q ** (top - b)
@@ -312,14 +287,11 @@ class Poly:
             total += product
         return total
 
-    def homogeneous_part(self, degree: int) -> Poly:
-        return Poly(
-            self.nvars, {m: c for m, c in self._terms.items() if sum(m) == degree}
-        )
-
     def lowest_form(self) -> Poly:
         """Homogeneous part of minimal total degree (the initial form)."""
-        return self.homogeneous_part(self.order())
+        low = self.order()
+        terms = {m: c for m, c in self._terms.items() if sum(m) == low}
+        return Poly._trusted(self.nvars, terms)
 
     def is_homogeneous(self) -> bool:
         if not self._terms:
@@ -333,12 +305,9 @@ class Poly:
         """Positive rational c with self/c integer-primitive; 0 for zero."""
         if not self._terms:
             return Fraction(0)
-        num = 0
-        den = 1
-        for coeff in self._terms.values():
-            num = _int_gcd(num, coeff.numerator)
-            den = den * coeff.denominator // _int_gcd(den, coeff.denominator)
-        return Fraction(num, den)
+        coeffs = self._terms.values()
+        return Fraction(_int_gcd(*(c.numerator for c in coeffs)),
+                        _lcm(*(c.denominator for c in coeffs)))
 
     def primitive(self) -> Poly:
         """Integer-primitive scalar multiple with positive printed lead."""
@@ -385,6 +354,32 @@ class Poly:
         return f"Poly({self.nvars}, {self.to_string()!r})"
 
 
+def _add_terms(result: dict[Monomial, Fraction],
+               pairs: Iterable[tuple[Monomial, Fraction]]) -> dict[Monomial, Fraction]:
+    """Add the (monomial, coefficient) pairs into ``result``, in place."""
+    for key, value in pairs:
+        total = result.get(key, 0) + value
+        if total:
+            result[key] = total
+        else:
+            result.pop(key, None)
+    return result
+
+
+def _add_product(result: dict[Monomial, Fraction], a: Mapping[Monomial, Fraction],
+                 b: Mapping[Monomial, Fraction]) -> dict[Monomial, Fraction]:
+    """Add the product of the term maps a and b into ``result``, in place."""
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            key = tuple(map(_add, m1, m2))
+            total = result.get(key, 0) + c1 * c2
+            if total:
+                result[key] = total
+            else:
+                result.pop(key, None)
+    return result
+
+
 # -- parsing ---------------------------------------------------------------
 #
 # expr   := ('+'|'-')? term (('+'|'-') term)*
@@ -394,7 +389,9 @@ class Poly:
 #
 # The leading sign extension admits inputs like "-y".  A parameter is any
 # identifier other than a variable name; it must be bound to a rational in
-# the ``parameters`` mapping and is substituted during parsing.
+# the ``parameters`` mapping and is substituted during parsing.  An atom (a
+# rational, parameter or variable) is a (coefficient, exponent list) pair and
+# only a parenthesised group is a Poly; every term is added into one dict.
 
 
 class _Parser:
@@ -427,32 +424,44 @@ class _Parser:
         return value
 
     def parse_expr(self) -> Poly:
+        total: dict[Monomial, Fraction] = {}
         sign = 1
         if self.peek() in ("+", "-"):
             sign = -1 if self.take() == "-" else 1
-        total = self.parse_term() * sign
+        self.add_term(total, sign)
         while self.peek() in ("+", "-"):
-            op = self.take()
-            term = self.parse_term()
-            total = total + term if op == "+" else total - term
-        return total
+            self.add_term(total, -1 if self.take() == "-" else 1)
+        return Poly._trusted(self.nvars, total)
 
-    def parse_term(self) -> Poly:
-        product = self.parse_factor()
-        while self.peek() == "*":
+    def add_term(self, total: dict[Monomial, Fraction], sign: int) -> None:
+        coeff, exponents, group = Fraction(sign), [0] * self.nvars, None
+        while True:
+            factor = self.parse_factor()
+            if isinstance(factor, Poly):
+                group = factor if group is None else group * factor
+            else:
+                coeff *= factor[0]
+                for i, e in enumerate(factor[1]):
+                    exponents[i] += e
+            if self.peek() != "*":
+                break
             self.take()
-            product = product * self.parse_factor()
-        return product
+        if group is None:
+            _add_terms(total, ((tuple(exponents), coeff),))
+        else:
+            _add_product(total, {tuple(exponents): coeff}, group._terms)
 
-    def parse_factor(self) -> Poly:
+    def parse_factor(self) -> Poly | tuple[Fraction, list[int]]:
         base = self.parse_base()
         if self.peek() == "^":
             self.take()
             exponent = self.parse_nat()
-            base = base**exponent
+            if isinstance(base, Poly):
+                return base**exponent
+            return base[0] ** exponent, [e * exponent for e in base[1]]
         return base
 
-    def parse_base(self) -> Poly:
+    def parse_base(self) -> Poly | tuple[Fraction, list[int]]:
         ch = self.peek()
         if ch == "(":
             self.take()
@@ -461,8 +470,9 @@ class _Parser:
                 raise self.error("expected ')'")
             self.take()
             return inner
+        exponents = [0] * self.nvars
         if ch.isdigit():
-            return Poly.constant(self.nvars, self.parse_rational())
+            return self.parse_rational(), exponents
         if ch.isalpha() or ch == "_":
             name = self.parse_name()
             if name in VAR_NAMES:
@@ -472,9 +482,10 @@ class _Parser:
                     raise self.error(
                         f"variable {name!r} not available with {self.nvars} variables"
                     )
-                return Poly.variable(self.nvars, index)
+                exponents[index] = 1
+                return Fraction(1), exponents
             if name in self.parameters:
-                return Poly.constant(self.nvars, self.parameters[name])
+                return Fraction(self.parameters[name]), exponents
             self.pos -= len(name)
             raise self.error(f"unknown parameter {name!r}")
         if ch == "":
@@ -544,16 +555,9 @@ def try_exact_div(numerator: Poly, denominator: Poly) -> Poly | None:
         delta = tuple(a - b for a, b in zip(top, lead))
         if any(e < 0 for e in delta):
             return None
-        factor = rest[top] / lead_coeff
-        quotient[delta] = factor
-        for monomial, coeff in denominator._terms.items():
-            key = tuple(a + b for a, b in zip(delta, monomial))
-            total = rest.get(key, 0) - factor * coeff
-            if total:
-                rest[key] = total
-            else:
-                rest.pop(key, None)
-    return Poly(numerator.nvars, quotient)
+        quotient[delta] = factor = rest[top] / lead_coeff
+        _add_product(rest, {delta: -factor}, denominator._terms)
+    return Poly._trusted(numerator.nvars, quotient)
 
 
 def divides(denominator: Poly, numerator: Poly) -> bool:
@@ -561,13 +565,8 @@ def divides(denominator: Poly, numerator: Poly) -> bool:
 
 
 def _coeff_in_var(p: Poly, var: int, power: int) -> Poly:
-    result = {}
-    for monomial, coeff in p.items():
-        if monomial[var] == power:
-            flat = list(monomial)
-            flat[var] = 0
-            result[tuple(flat)] = coeff
-    return Poly(p.nvars, result)
+    flat = {m[:var] + (0,) + m[var + 1:]: c for m, c in p.items() if m[var] == power}
+    return Poly._trusted(p.nvars, flat)
 
 
 def _pseudo_rem(f: Poly, g: Poly, var: int) -> Poly:
@@ -590,9 +589,7 @@ _CERT_POINTS = (7, 1234567, 98765431)
 
 def _image_mod_p(p: Poly) -> dict[Monomial, int]:
     """Coefficients of p times the lcm of its denominators, reduced mod the prime."""
-    scale = 1
-    for c in p._terms.values():
-        scale = scale * c.denominator // _int_gcd(scale, c.denominator)
+    scale = _lcm(*(c.denominator for c in p._terms.values()))
     return {
         m: c.numerator * (scale // c.denominator) % _CERT_PRIME
         for m, c in p._terms.items()
@@ -725,13 +722,23 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def is_squarefree(p: Poly) -> bool:
-    """No repeated factors: gcd with all partial derivatives is constant."""
+    """No repeated factors: gcd(p, p_x, p_y, ...) is constant.
+
+    With c = (1, 3) or (1, 3, 9), c.grad p lies in the span of the partials,
+    so a proof that p and c.grad p are coprime settles it.  A factor y of p
+    divides p_x but not c.grad p, so one mod-p certificate nearly always
+    gives that proof.  Otherwise the gcds with the partials are taken in
+    turn: a pseudo-remainder sequence against c.grad p can grow far larger.
+    """
     if p.is_zero:
         raise ValueError("squarefreeness of the zero polynomial is undefined")
+    partials = [p.diff(var) for var in range(p.nvars)]
+    combination = sum((d * w for d, w in zip(partials, (1, 3, 9))), Poly.zero(p.nvars))
+    if combination and _coprime_mod_p(p, combination):
+        return True
     g = p
-    for var in range(p.nvars):
-        d = p.diff(var)
-        if not d.is_zero:
+    for d in partials:
+        if d and g.total_degree() > 0:
             g = poly_gcd(g, d)
     return g.total_degree() == 0
 
@@ -741,15 +748,8 @@ def dehomogenize(p: Poly, axis: int) -> Poly:
     if p.nvars != 3:
         raise ValueError("dehomogenize expects a 3-variable polynomial")
     keep = [i for i in range(3) if i != axis]
-    result: dict[Monomial, Fraction] = {}
-    for monomial, coeff in p.items():
-        key = (monomial[keep[0]], monomial[keep[1]])
-        total = result.get(key, 0) + coeff
-        if total:
-            result[key] = total
-        else:
-            result.pop(key, None)
-    return Poly(2, result)
+    pairs = (((m[keep[0]], m[keep[1]]), c) for m, c in p.items())
+    return Poly._trusted(2, _add_terms({}, pairs))
 
 
 # -- intersection numbers by resultants ------------------------------------
@@ -848,9 +848,7 @@ def _resultant(a: list[list[int]], b: list[list[int]]) -> list[int]:
 
 def _sheared(p: Poly, c: int) -> list[list[int]]:
     """p(x + c*y, y) in Z[x][y], times the lcm of p's denominators."""
-    scale = 1
-    for v in p._terms.values():
-        scale = scale * v.denominator // _int_gcd(scale, v.denominator)
+    scale = _lcm(*(v.denominator for v in p._terms.values()))
     rows: dict[int, dict[int, int]] = {}
     for (i, j), v in p._terms.items():
         v = v.numerator * (scale // v.denominator)

@@ -29,7 +29,116 @@ def P(text, nvars=2, **params):
     return parse_poly(text, nvars, {k: Fraction(v) for k, v in params.items()})
 
 
+LAMBDA = Fraction(-5, 3)
+
+
+def _expression_trees(nvars):
+    """Trees of sums, products and powers over rationals, lam and variables."""
+    leaves = st.one_of(
+        st.builds(Fraction, st.integers(0, 30), st.integers(1, 6)).map(lambda c: ("num", c)),
+        st.integers(0, nvars - 1).map(lambda i: ("var", i)),
+        st.just(("lam",)),
+    )
+    signs = st.sampled_from((1, -1))
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.tuples(st.just("pow"), inner, st.integers(0, 6)),
+        st.tuples(st.just("mul"), st.lists(inner, min_size=2, max_size=3)),
+        st.tuples(st.just("add"), st.lists(st.tuples(signs, inner), min_size=1, max_size=3)),
+    ), max_leaves=8)
+
+
+def _render(tree, level="expr"):
+    """Text of a tree in the parser's grammar; a group only where it must be."""
+    kind = tree[0]
+    if level == "expr" and kind == "add":
+        text = "-" if tree[1][0][0] < 0 else ""
+        for i, (sign, child) in enumerate(tree[1]):
+            if i:
+                text += " - " if sign < 0 else " + "
+            text += _render(child, "term")
+        return text
+    if level in ("expr", "term") and kind == "mul":
+        return "*".join(_render(child, "factor") for child in tree[1])
+    if level != "base" and kind == "pow":
+        return f"{_render(tree[1], 'base')}^{tree[2]}"
+    if kind == "num":
+        return str(tree[1])
+    if kind == "var":
+        return "xyz"[tree[1]]
+    if kind == "lam":
+        return "lam"
+    return f"({_render(tree)})"
+
+
+def _evaluate(tree, nvars):
+    """The same tree by Poly arithmetic."""
+    kind = tree[0]
+    if kind == "num":
+        return Poly.constant(nvars, tree[1])
+    if kind == "var":
+        return Poly.variable(nvars, tree[1])
+    if kind == "lam":
+        return Poly.constant(nvars, LAMBDA)
+    if kind == "pow":
+        return _evaluate(tree[1], nvars) ** tree[2]
+    if kind == "mul":
+        product = Poly.constant(nvars, 1)
+        for child in tree[1]:
+            product = product * _evaluate(child, nvars)
+        return product
+    return sum((_evaluate(child, nvars) * sign for sign, child in tree[1]), Poly.zero(nvars))
+
+
+# Malformed inputs, each with the message and the 0-based column it reports.
+MALFORMED = [
+    ("", 2, "unexpected end of input", 0),
+    ("   ", 2, "unexpected end of input", 3),
+    ("x +", 2, "unexpected end of input", 3),
+    ("x + * y", 2, "unexpected character '*'", 4),
+    ("x + z", 2, "variable 'z' not available with 2 variables", 4),
+    ("mu*x", 2, "unknown parameter 'mu'", 0),
+    ("x + y)", 2, "unexpected character ')'", 5),
+    ("1/0", 2, "zero denominator", 3),
+    ("1/ 0", 2, "zero denominator", 4),
+    ("y^02 - 1/00", 2, "zero denominator", 11),
+    ("(x + y", 2, "expected ')'", 6),
+    ("x^", 2, "expected an exponent", 2),
+    ("x^y", 2, "expected an exponent", 2),
+    ("x ^ -1", 2, "expected an exponent", 4),
+    ("(x+y)^", 2, "expected an exponent", 6),
+    ("x + 1/", 2, "expected an exponent", 6),
+    ("x**2", 2, "unexpected character '*'", 2),
+    ("x^2^3", 2, "unexpected character '^'", 3),
+    ("2 x", 2, "unexpected character 'x'", 2),
+    ("x y", 2, "unexpected character 'y'", 2),
+    ("x & y", 2, "unexpected character '&'", 2),
+    ("()", 2, "unexpected character ')'", 1),
+    ("x*(y+)", 2, "unexpected character ')'", 5),
+    ("3.5*x", 2, "unexpected character '.'", 1),
+    ("--x", 2, "unexpected character '-'", 1),
+    ("x + lambda", 2, "unknown parameter 'lambda'", 4),
+    ("_t*x", 2, "unknown parameter '_t'", 0),
+    ("w", 3, "unknown parameter 'w'", 0),
+    ("z*w", 3, "unknown parameter 'w'", 2),
+]
+
+
 class TestParse:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.sampled_from((2, 3)).flatmap(
+        lambda n: st.tuples(st.just(n), _expression_trees(n))))
+    def test_text_of_a_tree_parses_to_its_value(self, case):
+        nvars, tree = case
+        text = _render(tree)
+        assert parse_poly(text, nvars, {"lam": LAMBDA}) == _evaluate(tree, nvars), text
+
+    @pytest.mark.parametrize("text, nvars, message, column", MALFORMED)
+    def test_malformed_input_message_and_column(self, text, nvars, message, column):
+        with pytest.raises(PolyParseError) as err:
+            parse_poly(text, nvars, {"lam": LAMBDA})
+        assert str(err.value) == f"{message} (at column {column + 1})"
+        assert err.value.position == column
+
     def test_basic_terms(self):
         p = P("x^2 + 3/4*x*y")
         assert p.terms == {(2, 0): Fraction(1), (1, 1): Fraction(3, 4)}
@@ -264,6 +373,79 @@ class TestDivisionAndGcd:
         assert not is_squarefree(P("y^2"))
         assert not is_squarefree(P("(x+y)^2*(x-y)"))
         assert is_squarefree(P("y^2 - x^3"))
+
+
+@st.composite
+def _squarefree_draws(draw):
+    """p in 2 or 3 variables, times the square of a nonconstant q when planted."""
+    nvars = draw(st.sampled_from((2, 3)))
+
+    def poly(max_exponent, max_terms):
+        exponent = st.tuples(*(st.integers(0, max_exponent) for _ in range(nvars)))
+        coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+        terms = draw(st.dictionaries(exponent, coeff, min_size=1, max_size=max_terms))
+        p = Poly(nvars, terms)
+        assume(not p.is_zero)
+        return p
+
+    # three-variable draws are kept smaller: the exact gcd of a non-squarefree
+    # p with its partials is a pseudo-remainder sequence in three variables
+    p = poly(3, 5) if nvars == 2 else poly(2, 4)
+    if draw(st.booleans()):
+        q = poly(1, 3 if nvars == 2 else 2)
+        assume(q.total_degree() > 0)
+        p = p * q * q
+    return p
+
+
+class TestSquarefree:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(_squarefree_draws())
+    def test_against_sympy(self, p):
+        sympy = pytest.importorskip("sympy")
+        symbols = sympy.symbols("x y z")[: p.nvars]
+        reference = sympy.Poly(sympy_expr(p, symbols), *symbols, domain="QQ")
+        assert is_squarefree(p) == reference.is_sqf
+
+    def _gcd_calls(self, monkeypatch, p):
+        """is_squarefree(p) and the second argument of each outer poly_gcd call."""
+        calls, depth = [], [0]
+
+        def spy(a, b):
+            if not depth[0]:
+                calls.append(b)
+            depth[0] += 1
+            try:
+                return poly_gcd(a, b)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(polynomials, "poly_gcd", spy)
+        return polynomials.is_squarefree(p), calls
+
+    def test_certificate_settles_a_factor_through_a_coordinate_line(self, monkeypatch):
+        # y divides p and p_x, so gcd(p, p_x) is not constant; c.grad p is
+        # proved coprime to p without any gcd
+        assert self._gcd_calls(monkeypatch, P("y*(y - x^2)")) == (True, [])
+        assert self._gcd_calls(monkeypatch, P("x*y*(x - y)")) == (True, [])
+
+    def test_combination_sharing_a_factor_goes_on_to_the_partials(self, monkeypatch):
+        # with c = (1, 3): c.grad(x*(y - 3x)) = y - 3x, a factor of p
+        p = P("x*(y - 3*x)")
+        assert p.diff(0) + p.diff(1) * 3 == P("y - 3*x")
+        assert self._gcd_calls(monkeypatch, p) == (True, [p.diff(0)])
+
+    def test_vanishing_combination_goes_on_to_the_partials(self, monkeypatch):
+        # c.grad(y - 3x) = 0, so the first gcd taken is with p_x = -3
+        assert self._gcd_calls(monkeypatch, P("y - 3*x")) == (True, [P("-3")])
+        p = P("(y - 3*x)^2")
+        assert self._gcd_calls(monkeypatch, p) == (False, [p.diff(0), p.diff(1)])
+
+    def test_three_variables(self):
+        assert is_squarefree(P("x*y*z + z^3", nvars=3))
+        assert not is_squarefree(P("x*(y - 3*x + 9*z)^2", nvars=3))
+        assert is_squarefree(P("y - 3*x", nvars=3))
+        assert not is_squarefree(P("(z - 9*x)^2*y", nvars=3))
 
 
 @st.composite
