@@ -10,7 +10,6 @@ and review the diff.
 import contextlib
 import io
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -74,4 +73,3 @@ if __name__ == "__main__":
     (GOLDEN / "status.json").write_text(
         json.dumps(statuses, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    sys.exit(0)
