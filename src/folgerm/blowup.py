@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .germs import require_isolated
 from .localalg import EngineInconsistencyError
-from .polynomials import Poly, poly_gcd, try_exact_div
+from .polynomials import Poly, _zx_div, _zx_gcd
 
 MAX_BLOWUPS_DEFAULT = 24
 
@@ -243,7 +243,7 @@ def _eval_mod(coeffs: list[int], value: int, modulus: int) -> int:
     return acc
 
 
-def rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], Poly, bool]:
+def rational_roots(coeffs: list[Fraction | int]) -> tuple[list[Fraction], Poly, bool]:
     """All rational roots (each listed once), the residual, and ``True``.
 
     The residual is the input with every rational root divided out to its
@@ -253,7 +253,8 @@ def rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], Poly, bool]:
 
     * zero roots are stripped; s is the integer-primitive squarefree part of
       the rest, which is the rest itself when it is linear or a quadratic
-      with nonzero discriminant, and else the rest over its gcd with s';
+      with nonzero discriminant, and else the rest over its gcd with its
+      derivative, both over Z[t] (``_zx_gcd``, then the exact ``_zx_div``);
     * p is the first prime not dividing lc(s) at which every root of s mod p
       (s evaluated at 0, ..., p - 1) is simple; each is lifted by Newton
       iteration until ``p**k > 2*|lc(s)|*|s(0)|``, and u = lc(s)*r mod p**k,
@@ -277,12 +278,7 @@ def rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], Poly, bool]:
         scale = Fraction(scale, math.gcd(*(c.numerator for c in work)))
         s = [int(c * scale) for c in work]
         if len(s) > 3 or len(s) == 3 and s[1] ** 2 == 4 * s[0] * s[2]:
-            f = Poly(2, {(0, i): c for i, c in enumerate(s)})
-            f = try_exact_div(f, poly_gcd(f, f.diff(1)))
-            if f is None:
-                raise EngineInconsistencyError("a gcd does not divide its polynomial")
-            f = f.primitive()
-            s = [int(f.coefficient((0, i))) for i in range(f.degree_in(1) + 1)]
+            s = _zx_div(s, _zx_gcd(s, [i * c for i, c in enumerate(s)][1:]))
         lead, ds = s[-1], [i * c for i, c in enumerate(s)][1:]
         for p in itertools.count(2):
             if lead % p and all(p % q for q in range(2, math.isqrt(p) + 1)):

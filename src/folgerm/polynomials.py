@@ -801,6 +801,40 @@ def _zx_div(a: list[int], b: list[int]) -> list[int]:
     return q
 
 
+def _zx_gcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd in Z[x] of nonzero a and b, primitive, up to sign.
+
+    It is 1 when the images modulo ``_CERT_PRIME`` are coprime and the prime
+    does not divide lc(a): the image of a common factor keeps its degree and
+    divides both images.  Otherwise the primitive remainder sequence, whose
+    reduction steps multiply r by lc(b) / gcd(lc(r), lc(b)), not by lc(b).
+    """
+    if a[-1] % _CERT_PRIME:
+        g = [v % _CERT_PRIME for v in b]
+        while g and not g[-1]:
+            g.pop()
+        if len(_euclid_mod_p([v % _CERT_PRIME for v in a], g)) == 1:
+            return [1]
+    if len(a) < len(b):
+        a, b = b, a
+    content = _int_gcd(*a)
+    a = [v // content for v in a]
+    while b:
+        content = _int_gcd(*b)
+        r, b = a, [v // content for v in b]
+        while len(r) >= len(b):
+            k = _int_gcd(r[-1], b[-1])
+            u, t = b[-1] // k, r[-1] // k
+            shift = len(r) - len(b)
+            r = [u * v for v in r]
+            for j, v in enumerate(b):
+                r[shift + j] -= t * v
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, r
+    return a
+
+
 def _prem(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     """lc(b)^(deg a - deg b + 1) * a modulo b, in Z[x][y]."""
     lead, r = b[-1], list(a)

@@ -7,8 +7,9 @@ The degree of the foliation is one less than the coefficient degree: a
 degree-d foliation has coefficients of degree d + 1 and, counted with
 multiplicity, ``d**2 + d + 1`` singular points.
 
-Singular points are located by exact elimination and a complete rational
-root search, so every rational one is found and no irrational one is.  The
+Singular points are located by an integer resultant (the subresultant
+sequence of ``polynomials``) and a complete rational root search, so every
+rational one is found and no irrational one is.  The
 sum of local Milnor numbers over the located points is compared against
 ``d**2 + d + 1``: when the two agree, every singular point has rational
 coordinates and the list is provably complete.  Local work happens in the
@@ -34,7 +35,8 @@ from .germs import (
 from .polynomials import (
     EngineInconsistencyError,
     Poly,
-    _pseudo_rem,
+    _resultant,
+    _sheared,
     dehomogenize,
     divides,
     is_squarefree,
@@ -149,14 +151,6 @@ class ProjectivePoint:
         return "[" + " : ".join(str(c) for c in self.coords) + "]"
 
 
-def _coeff_list(p: Poly, var: int) -> list[Fraction]:
-    """Coefficients by power of ``var`` for a polynomial using only ``var``."""
-    coeffs = [Fraction(0)] * (max(p.degree_in(var), 0) + 1)
-    for monomial, c in p.items():
-        coeffs[monomial[var]] += c
-    return coeffs
-
-
 def _restrict_to_infinity(p: Poly) -> list[Fraction]:
     """Coefficients of p(t, 1, 0) by power of t."""
     coeffs = [Fraction(0)] * (max(p.degree_in(0), 0) + 1)
@@ -191,27 +185,27 @@ def _line_roots(first: list[Fraction], second: list[Fraction]) -> list[Fraction]
 def _affine_common_zeros(a: Poly, b: Poly) -> list[tuple[Fraction, Fraction]]:
     """All rational common zeros of a coprime pair in two variables.
 
-    The caller guarantees coprimality (see ``singular_points``).  Eliminates
-    the second variable by a pseudo-remainder chain, each remainder made
-    integer-primitive: every common zero of the pair is a zero of each
-    element of the chain, so the final element (which no longer involves y)
-    catches all candidate x-coordinates.  Candidates are then confirmed by
-    restricting both polynomials to the vertical line.  The root search is
-    complete, so every rational zero is found; irrational zeros are not, and
-    callers certify completeness through the Milnor-number budget.
+    The caller guarantees coprimality (see ``singular_points``).  With
+    denominators cleared, the eliminant is Res_y(a, b) in Z[x], from the
+    subresultant sequence of ``polynomials``, or the x-polynomial of a member
+    constant in y.  It vanishes at the x-coordinate of every common zero and
+    is nonzero for a coprime pair.  Its rational roots are the candidates,
+    confirmed by restricting both polynomials to the vertical line.  The root
+    search is complete, so every rational zero is found; irrational zeros are
+    not, and callers certify completeness through the Milnor-number budget.
     """
     if a.is_zero or b.is_zero:
         survivor = b if a.is_zero else a
         if survivor.is_zero or survivor.total_degree() > 0:
             raise ValueError("singular locus is not finite in a chart")
         return []
-    f, g = (a, b) if a.degree_in(1) >= b.degree_in(1) else (b, a)
-    while g.degree_in(1) > 0:
-        f, g = g, _pseudo_rem(f, g, 1)
-        if g.is_zero:
-            raise EngineInconsistencyError("a coprime pair left a zero eliminant")
-        g = g.primitive()
-    candidates, _, _ = rational_roots(_coeff_list(g, 0))
+    f, g = _sheared(a, 0), _sheared(b, 0)
+    if len(f) < len(g):
+        f, g = g, f
+    eliminant = g[0] if len(g) == 1 else _resultant(f, g)
+    if not eliminant:
+        raise EngineInconsistencyError("a coprime pair left a zero eliminant")
+    candidates, _, _ = rational_roots(eliminant)
     points = []
     for x0 in candidates:
         for y0 in _line_roots(_section_in_y(a, x0), _section_in_y(b, x0)):
@@ -287,11 +281,13 @@ class MilnorSumCertificate:
     ``degree**2 + degree + 1``, so ``total == expected`` proves that the
     points listed here are all the singular points there are; a positive
     deficit measures how much of the singular scheme is unaccounted for.
+    ``germs`` holds the chart germ at each point, in the order of ``entries``.
     """
 
     entries: tuple[tuple[ProjectivePoint, int], ...]
     total: int
     expected: int
+    germs: tuple[FoliationGerm, ...] = field(repr=False, compare=False)
 
     @property
     def certified(self) -> bool:
@@ -319,15 +315,16 @@ def milnor_sum_certificate(
         points = sorted(points, key=lambda pt: pt.coords)
         if len({pt.coords for pt in points}) != len(points):
             raise ValueError("singular points must be pairwise distinct")
-    entries = []
+    entries, germs = [], []
     for point in points:
         germ = chart_germ(form, point)
         if not germ.is_singular:
             raise ValueError(f"{point} is not a singular point")
         entries.append((point, milnor_foliation(germ)))
+        germs.append(germ)
     total = sum(mu for _, mu in entries)
     d = form.degree
-    return MilnorSumCertificate(tuple(entries), total, d * d + d + 1)
+    return MilnorSumCertificate(tuple(entries), total, d * d + d + 1, tuple(germs))
 
 
 def ceil_div(a: int, b: int) -> int:
@@ -442,12 +439,11 @@ def check_global_bound(
     tau_sum = 0
     rows = []
     violations = []
-    for point, mu in cert.entries:
+    for (point, mu), germ in zip(cert.entries, cert.germs):
         row = {"point": str(point), "mu": mu}
         on_curve = curve.evaluate(point.coords) == 0
         row["on_curve"] = on_curve
         if on_curve:
-            germ = chart_germ(form, point)
             local_curve = chart_curve(curve, point)
             tau = tjurina_curve(local_curve)
             # gsv_index, with the curve's Tjurina number computed once

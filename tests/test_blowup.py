@@ -161,10 +161,13 @@ class TestRationalRoots:
         assert certified
 
     def test_linesfault_eliminant(self):
-        # The primitive eliminant of the six-line arrangement x, y, z,
-        # x+y+z, x+2y+3z, x+3y+7z (lambda = 1, 2, 3, 4, 5, -15) in the chart
-        # z = 1: x^12 (x-5)(x-2)(x-1)(x+1)(x+3)(x+7) times irrational factors.
-        # Trial division of its 39-bit trailing coefficient found only 0.
+        # The last element of a primitive pseudo-remainder chain in y for
+        # the six-line arrangement x, y, z, x+y+z, x+2y+3z, x+3y+7z
+        # (lambda = 1, 2, 3, 4, 5, -15) in the chart z = 1:
+        # x^12 (x-5)(x-2)(x-1)(x+1)(x+3)(x+7) times irrational factors, one
+        # of them squared, so the integer squarefree part runs.  Trial
+        # division of its 39-bit trailing coefficient found only 0.  The
+        # point search eliminates y by Res_y instead, of degree 16 here.
         coeffs = [0] * 12 + [
             -521558396100, -2732571246510, 16744280855746, 42613585741765,
             672566657903, -55002630485876, -27426424714288, 16693925633971,

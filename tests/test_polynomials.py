@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_nonzero_poly, random_poly, sympy_expr
-from folgerm import polynomials, projective
+from folgerm import blowup, polynomials, projective
 from folgerm.localalg import EngineInconsistencyError, standard_basis
 from folgerm.polynomials import (
     Poly,
@@ -627,7 +627,8 @@ class TestIntersectionAtOrigin:
 
 
 class TestEngineInconsistency:
-    """Cross-checks inside the gcd and the eliminant raise, also under -O.
+    """Cross-checks inside the gcd, the eliminant and the squarefree part raise,
+    also under -O.
 
     The gcd inputs are a coprime pair, which the modular certificate settles
     before the remainder sequence; the gcd tests turn it off so that the
@@ -653,16 +654,22 @@ class TestEngineInconsistency:
             poly_gcd(P("y^2 + x"), P("y + 1"))
 
     def test_zero_eliminant(self, monkeypatch):
-        monkeypatch.setattr(projective, "_pseudo_rem", lambda f, g, var: Poly.zero(2))
+        monkeypatch.setattr(projective, "_resultant", lambda a, b: [])
         with pytest.raises(EngineInconsistencyError, match="zero eliminant"):
             projective._affine_common_zeros(P("y - x"), P("y + x"))
+
+    def test_inexact_squarefree_division(self, monkeypatch):
+        # (t - 1)^2 (t + 2) = t^3 - 3t + 2; t + 3 is no factor of it
+        monkeypatch.setattr(blowup, "_zx_gcd", lambda a, b: [3, 1])
+        with pytest.raises(EngineInconsistencyError, match="not exact"):
+            blowup.rational_roots([2, -3, 0, 1])
 
     def test_raise_under_optimize(self):
         script = (
             "import sys\n"
-            "from folgerm import polynomials, projective\n"
+            "from folgerm import blowup, polynomials, projective\n"
             "from folgerm.localalg import EngineInconsistencyError\n"
-            "from folgerm.polynomials import Poly, parse_poly\n"
+            "from folgerm.polynomials import parse_poly\n"
             "P = lambda text: parse_poly(text, 2)\n"
             "exact = polynomials.try_exact_div\n"
             "def attempt(call):\n"
@@ -677,8 +684,10 @@ class TestEngineInconsistency:
             "    lambda p, q: None if p == P('x + 1') else exact(p, q))\n"
             "attempt(lambda: polynomials.poly_gcd(P('y^2 + x'), P('y + 1')))\n"
             "polynomials.try_exact_div = exact\n"
-            "projective._pseudo_rem = lambda f, g, var: Poly.zero(2)\n"
+            "projective._resultant = lambda a, b: []\n"
             "attempt(lambda: projective._affine_common_zeros(P('y - x'), P('y + x')))\n"
+            "blowup._zx_gcd = lambda a, b: [3, 1]\n"
+            "attempt(lambda: blowup.rational_roots([2, -3, 0, 1]))\n"
         )
         src = Path(__file__).resolve().parent.parent / "src"
         done = subprocess.run(
@@ -686,4 +695,4 @@ class TestEngineInconsistency:
             capture_output=True, text=True, timeout=60,
             env={"PYTHONPATH": str(src)},
         )
-        assert done.stdout == "raised 1\n" * 3, done.stderr
+        assert done.stdout == "raised 1\n" * 4, done.stderr

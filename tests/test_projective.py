@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from folgerm import projective
+from folgerm import blowup, polynomials, projective
 from folgerm.germs import FoliationGerm, multiplicity, milnor_foliation
 from folgerm.polynomials import Poly, dehomogenize, parse_poly, poly_gcd
 from folgerm.projective import (
@@ -431,6 +433,98 @@ class TestLinesfault:
         report = check_global_bound(validate_form(a, b, c), curve)
         assert report.verdict == "not-applicable"
         assert report.data["milnor_sum"] == 15
+
+
+def _line_through(point, direction):
+    """u*(x - px) + v*(y - py) for the point (px, py) and direction (u, v)."""
+    (px, py), (u, v) = point, direction
+    return Poly(2, {(1, 0): u, (0, 1): v, (0, 0): -u * px - v * py})
+
+
+@st.composite
+def _planted_pairs(draw):
+    """Coprime integer pairs of degree <= 4 through planted rational points.
+
+    Each planted point puts one line through it into a and another into b,
+    and a then gains q*b, which keeps the common zeros.  Up to three points
+    share the vertical line x = c != 0, so the eliminant has a repeated
+    root away from 0 and the squarefree gcd runs.
+    """
+    small = st.integers(-4, 4)
+    rational = st.builds(Fraction, small, st.integers(1, 3))
+    column = Fraction(draw(st.integers(1, 4)) * draw(st.sampled_from([-1, 1])))
+    points = [(column, y0) for y0 in draw(st.lists(rational, max_size=3))]
+    points += draw(st.lists(st.tuples(rational, rational), max_size=4 - len(points)))
+    assume(points)
+    direction = st.tuples(small, small).filter(any)
+    a = b = Poly.constant(2, 1)
+    for point in points:
+        a = a * _line_through(point, draw(direction))
+        b = b * _line_through(point, draw(direction))
+    spare = 4 - len(points)
+    q = Poly(2, {
+        (i, j): draw(small)
+        for i in range(spare + 1) for j in range(spare + 1 - i)
+    })
+    a = a + q * b
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+def _sympy_rational_roots(expr, var):
+    sympy = pytest.importorskip("sympy")
+    roots = []
+    for factor, _ in sympy.Poly(expr, var, domain="QQ").factor_list()[1]:
+        if factor.degree() == 1:
+            c1, c0 = factor.all_coeffs()
+            roots.append(-c0 / c1)
+    return roots
+
+
+def _sympy_common_zeros(a, b):
+    """Rational common zeros from sympy's lex Groebner basis, y > x."""
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    basis = sympy.groebner(
+        [sympy_expr(a, (x, y)), sympy_expr(b, (x, y))], y, x, order="lex"
+    ).exprs
+    zeros = set()
+    for x0 in _sympy_rational_roots(basis[-1], x):
+        line = sympy.gcd_list([g.subs(x, x0) for g in basis])
+        for y0 in _sympy_rational_roots(line, y):
+            zeros.add((Fraction(int(x0.p), int(x0.q)), Fraction(int(y0.p), int(y0.q))))
+    return zeros
+
+
+class TestPointSearch:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(_planted_pairs())
+    def test_common_zeros_match_sympy(self, pair):
+        sympy = pytest.importorskip("sympy")
+        a, b = pair
+        x, y = sympy.symbols("x y")
+        assume(sympy.gcd(sympy_expr(a, (x, y)), sympy_expr(b, (x, y))).is_number)
+        zeros = projective._affine_common_zeros(a, b)
+        assert len(set(zeros)) == len(zeros)
+        assert set(zeros) == _sympy_common_zeros(a, b)
+
+    def test_no_fraction_gcd_or_remainder(self, monkeypatch):
+        forms = [validate_form(*omega_f(d)) for d in range(2, 6)]
+        (a, b, c), _ = log_form(*LINESFAULT)
+        forms.append(validate_form(a, b, c))
+        expected = [singular_points(form) for form in forms]
+
+        def forbidden(*args):
+            raise AssertionError("the point search left integer arithmetic")
+
+        for module in (polynomials, blowup, projective):
+            for name in ("poly_gcd", "try_exact_div", "_pseudo_rem"):
+                monkeypatch.setattr(module, name, forbidden, raising=False)
+        assert [singular_points(form) for form in forms] == expected
+        lines = LINESFAULT[0]
+        assert set(expected[-1]) == {
+            ProjectivePoint.of(*line_meet(u, v))
+            for i, u in enumerate(lines) for v in lines[i + 1:]
+        }
 
 
 def test_ceil_div():
