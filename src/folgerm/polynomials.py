@@ -752,7 +752,7 @@ def dehomogenize(p: Poly, axis: int) -> Poly:
     return Poly._trusted(2, _add_terms({}, pairs))
 
 
-# -- intersection numbers by resultants ------------------------------------
+# -- resultants and gcds over Z[x] -----------------------------------------
 #
 # Z[x] is a list of ints, lowest power first, without trailing zeros (the
 # zero polynomial is []); Z[x][y] is a list of those, lowest power of y first,

@@ -443,10 +443,12 @@ def _line_through(point, direction):
 
 @st.composite
 def _planted_pairs(draw):
-    """Coprime integer pairs of degree <= 4 through planted rational points.
+    """Pairs of degree <= 4 through planted rational points.
 
     Each planted point puts one line through it into a and another into b,
-    and a then gains q*b, which keeps the common zeros.  Up to three points
+    and a then gains q*b, which keeps the common zeros (and the gcd, which
+    the test requires to be constant).  Coefficients are rational, so the
+    eliminant clears denominators.  Up to three points
     share the vertical line x = c != 0, so the eliminant has a repeated
     root away from 0 and the squarefree gcd runs.
     """
