@@ -13,6 +13,7 @@ a parse/print round trip.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import comb as _comb
 from math import gcd as _int_gcd
 from math import lcm as _lcm
@@ -531,7 +532,7 @@ def parse_poly(
     return _Parser(text, nvars, parameters or {}).parse()
 
 
-# -- divisibility and gcd --------------------------------------------------
+# -- divisibility and the coprimality certificate --------------------------
 
 
 def try_exact_div(numerator: Poly, denominator: Poly) -> Poly | None:
@@ -562,25 +563,6 @@ def try_exact_div(numerator: Poly, denominator: Poly) -> Poly | None:
 
 def divides(denominator: Poly, numerator: Poly) -> bool:
     return try_exact_div(numerator, denominator) is not None
-
-
-def _coeff_in_var(p: Poly, var: int, power: int) -> Poly:
-    flat = {m[:var] + (0,) + m[var + 1:]: c for m, c in p.items() if m[var] == power}
-    return Poly._trusted(p.nvars, flat)
-
-
-def _pseudo_rem(f: Poly, g: Poly, var: int) -> Poly:
-    dg = g.degree_in(var)
-    lead_g = _coeff_in_var(g, var, dg)
-    r = f
-    while not r.is_zero and r.degree_in(var) >= dg:
-        dr = r.degree_in(var)
-        lead_r = _coeff_in_var(r, var, dr)
-        shift = Poly.monomial(
-            tuple(dr - dg if i == var else 0 for i in range(f.nvars))
-        )
-        r = lead_g * r - lead_r * shift * g
-    return r
 
 
 _CERT_PRIME = 2**31 - 1
@@ -627,19 +609,21 @@ def _coprime_mod_p(a: Poly, b: Poly) -> bool:
     """Whether the images of a and b modulo a prime prove them coprime.
 
     Clear the denominators and let p = 2^31 - 1.  For each variable v in
-    which both a and b have positive degree, give the other variables the
-    values t (two variables) or the other slots of (t, 2t, 3t) (three), for
-    the first t in ``_CERT_POINTS`` at which both v-leading coefficients are
-    nonzero mod p, and require the two images to have a constant gcd in
-    F_p[v].
+    which both a and b have positive degree, give the other variables their
+    slots of (t, t + 1) (two variables) or (t, t^2 + 1, 3t + 5) (three), for
+    t in ``_CERT_POINTS`` in turn, until both v-leading coefficients are
+    nonzero mod p and the two images have a constant gcd in F_p[v].  These
+    points lie on no common ray, which for homogeneous input would be one
+    projective line, sunk for every t by one common zero on it.
 
-    Sound: let h be a common factor of positive v-degree.  By Gauss's lemma
-    h may be taken in Z[x, y, ...] dividing both integer multiples there, so
-    lc_v(h) divides lc_v(a), which is nonzero at the point mod p.  So the
-    image of h keeps its v-degree and divides both images, whose gcd is then
-    not constant.  A nonconstant common factor has positive degree in some
-    variable, in which a and b both have positive degree; so if every such
-    variable passes, a and b are coprime.  False only means "not proved".
+    Sound at each such point: let h be a common factor of positive v-degree.
+    By Gauss's lemma h may be taken in Z[x, y, ...] dividing both integer
+    multiples there, so lc_v(h) divides lc_v(a), which is nonzero at the
+    point mod p.  So the image of h keeps its v-degree and divides both
+    images, whose gcd is then not constant.  A nonconstant common factor has
+    positive degree in some variable, in which a and b both have positive
+    degree; so if every such variable passes, a and b are coprime.  False
+    only means "not proved".
     """
     images = (_image_mod_p(a), _image_mod_p(b))
     for var in range(a.nvars):
@@ -647,100 +631,16 @@ def _coprime_mod_p(a: Poly, b: Poly) -> bool:
         if min(degrees) <= 0:
             continue
         for t in _CERT_POINTS:
-            values = (t, t) if a.nvars == 2 else (t, 2 * t, 3 * t)
+            values = (t, t + 1) if a.nvars == 2 else (t, t * t + 1, 3 * t + 5)
             f, g = (
                 _specialize(image, var, values, degree)
                 for image, degree in zip(images, degrees)
             )
-            if f[-1] and g[-1]:
+            if f[-1] and g[-1] and len(_euclid_mod_p(f, g)) == 1:
                 break
         else:
             return False
-        if len(_euclid_mod_p(f, g)) > 1:
-            return False
     return True
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Greatest common divisor, normalized to an integer-primitive poly.
-
-    A coprime pair, nearly every pair the callers pass, is settled by
-    ``_coprime_mod_p`` in one modular pass.  Every other pair (a common
-    factor, or a prime or point that proves nothing) takes the exact route:
-    primitive pseudo-remainder sequences in the last active variable, with
-    contents handled by recursion on the remaining variables.  The
-    certificate returns only what that route returns for a coprime pair,
-    the constant 1, so no answer depends on the prime or the points.
-    """
-    if a.is_zero and b.is_zero:
-        raise ValueError("gcd(0, 0) is undefined")
-    if a.is_zero:
-        return b.primitive()
-    if b.is_zero:
-        return a.primitive()
-    a._check_arity(b)
-    var = None
-    for i in reversed(range(a.nvars)):
-        if a.degree_in(i) > 0 or b.degree_in(i) > 0:
-            var = i
-            break
-    if var is None or _coprime_mod_p(a, b):
-        return Poly.constant(a.nvars, 1)
-
-    def content_in(p: Poly) -> Poly:
-        coeffs = [
-            _coeff_in_var(p, var, k)
-            for k in range(p.degree_in(var) + 1)
-        ]
-        coeffs = [c for c in coeffs if not c.is_zero]
-        result = coeffs[0]
-        for c in coeffs[1:]:
-            result = poly_gcd(result, c)
-        return result
-
-    ca, cb = content_in(a), content_in(b)
-    f = try_exact_div(a, ca)
-    g = try_exact_div(b, cb)
-    if f is None or g is None:
-        raise EngineInconsistencyError("a content does not divide its polynomial")
-    if f.degree_in(var) < g.degree_in(var):
-        f, g = g, f
-    while not g.is_zero:
-        r = _pseudo_rem(f, g, var)
-        f = g
-        if r.is_zero:
-            g = Poly.zero(a.nvars)
-        else:
-            cr = content_in(r)
-            g = try_exact_div(r, cr)
-            if g is None:
-                raise EngineInconsistencyError(
-                    "a content does not divide its pseudo-remainder"
-                )
-            g = g.primitive()
-    return (poly_gcd(ca, cb) * f).primitive()
-
-
-def is_squarefree(p: Poly) -> bool:
-    """No repeated factors: gcd(p, p_x, p_y, ...) is constant.
-
-    With c = (1, 3) or (1, 3, 9), c.grad p lies in the span of the partials,
-    so a proof that p and c.grad p are coprime settles it.  A factor y of p
-    divides p_x but not c.grad p, so one mod-p certificate nearly always
-    gives that proof.  Otherwise the gcds with the partials are taken in
-    turn: a pseudo-remainder sequence against c.grad p can grow far larger.
-    """
-    if p.is_zero:
-        raise ValueError("squarefreeness of the zero polynomial is undefined")
-    partials = [p.diff(var) for var in range(p.nvars)]
-    combination = sum((d * w for d, w in zip(partials, (1, 3, 9))), Poly.zero(p.nvars))
-    if combination and _coprime_mod_p(p, combination):
-        return True
-    g = p
-    for d in partials:
-        if d and g.total_degree() > 0:
-            g = poly_gcd(g, d)
-    return g.total_degree() == 0
 
 
 def dehomogenize(p: Poly, axis: int) -> Poly:
@@ -752,7 +652,7 @@ def dehomogenize(p: Poly, axis: int) -> Poly:
     return Poly._trusted(2, _add_terms({}, pairs))
 
 
-# -- resultants and gcds over Z[x] -----------------------------------------
+# -- resultants and gcds over Z[x] and Z[x][y] -----------------------------
 #
 # Z[x] is a list of ints, lowest power first, without trailing zeros (the
 # zero polynomial is []); Z[x][y] is a list of those, lowest power of y first,
@@ -789,7 +689,7 @@ def _zx_pow(a: list[int], n: int) -> list[int]:
 
 
 def _zx_div(a: list[int], b: list[int]) -> list[int]:
-    """The quotient a / b in Z[x]; the subresultant theorem makes it exact."""
+    """The quotient a / b in Z[x], for a b that the caller knows divides a."""
     a = list(a)
     q = [0] * max(len(a) - len(b) + 1, 0)
     for k in reversed(range(len(q))):
@@ -797,7 +697,7 @@ def _zx_div(a: list[int], b: list[int]) -> list[int]:
         for j, v in enumerate(b):
             a[k + j] -= c * v
     if any(a):
-        raise EngineInconsistencyError("a subresultant division is not exact")
+        raise EngineInconsistencyError("a division in Z[x] is not exact")
     return q
 
 
@@ -899,6 +799,104 @@ def _sheared(p: Poly, c: int) -> list[list[int]]:
     while not out[-1]:
         out.pop()
     return out
+
+
+def _zxy_primitive(p: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """(c, q): c a gcd in Z[x] of the entries of p, q = p/c with no integer content."""
+    content = reduce(_zx_gcd, filter(None, p))
+    q = [_zx_div(c, content) for c in p]
+    k = _int_gcd(*(v for c in q for v in c))
+    return content, [[v // k for v in c] for c in q]
+
+
+def poly_gcd(a: Poly, b: Poly) -> Poly:
+    """Greatest common divisor, normalized to an integer-primitive poly.
+
+    A coprime pair, nearly every pair the callers pass, is settled by
+    ``_coprime_mod_p`` in one modular pass; it returns only what the exact
+    route returns for a coprime pair, the constant 1.  The exact route works
+    in Z[x][y], with denominators cleared.  By Gauss's lemma a gcd there is
+    the gcd in Z[x] of the contents (the gcds of the y-coefficients) times
+    the gcd of the primitive parts f, g.  For deg_y f >= deg_y g the
+    pseudo-remainder r = lc(g)^k f - q g leaves the primitive common
+    divisors unchanged when f, g becomes g, pp(r): such a divisor of g and
+    lc(g)^k f has no factor in x alone, so it divides f.  The last nonzero
+    term of this primitive remainder sequence divides the one before it and
+    is the gcd of the primitive parts (Brown and Traub 1971).
+
+    Three-variable input must be homogeneous; every caller's is, and other
+    input raises ``ValueError``.  Write a = z^i A with z not dividing A.
+    Every factor of A is homogeneous and not divisible by z, so setting
+    z = 1 keeps its degree and homogenizing to that degree gives it back:
+    the chart a(x, y, 1) has the factors of A, with their multiplicities.
+    So gcd(a, b) is z^min(i, j) times the homogenized gcd of the charts.
+    """
+    if a.is_zero and b.is_zero:
+        raise ValueError("gcd(0, 0) is undefined")
+    a._check_arity(b)
+    nvars = a.nvars
+    if nvars == 3 and not (a.is_homogeneous() and b.is_homogeneous()):
+        raise ValueError("three-variable gcds need homogeneous input")
+    if a.is_zero or b.is_zero:
+        return (b if a.is_zero else a).primitive()
+    if _coprime_mod_p(a, b):
+        return Poly.constant(nvars, 1)
+    if nvars == 3:
+        low = min(m[2] for p in (a, b) for m in p._terms)
+        a, b = dehomogenize(a, 2), dehomogenize(b, 2)
+    (ca, f), (cb, g) = (_zxy_primitive(_sheared(p, 0)) for p in (a, b))
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        r = _prem(f, g)
+        f, g = g, (_zxy_primitive(r)[1] if r else [])
+    content = _zx_gcd(ca, cb)
+    terms = {(i, j): v for j, c in enumerate(f)
+             for i, v in enumerate(_zx_mul(content, c)) if v}
+    if nvars == 3:
+        top = max(map(sum, terms)) + low
+        terms = {(i, j, top - i - j): v for (i, j), v in terms.items()}
+    return Poly(nvars, terms).primitive()
+
+
+def is_squarefree(p: Poly) -> bool:
+    """No repeated factors.
+
+    With c = (1, 3) or (1, 3, 9), c.grad p lies in the span of the partials,
+    so a proof that p and c.grad p are coprime settles it.  A factor y of p
+    divides p_x but not c.grad p, so one mod-p certificate nearly always
+    gives that proof.  Otherwise a discriminant decides, with no gcd.
+
+    Three-variable input must be homogeneous.  With p = z^k P and z not
+    dividing P, p is not squarefree for k >= 2, and otherwise exactly when
+    the chart p(x, y, 1) is (see ``poly_gcd``).  In two variables, shear
+    until a = p(x + c*y, y) has a constant y-leading coefficient: its y^d
+    coefficient is p_d(c, 1), for the top form p_d, so at most d values of
+    c fail.  A factor of a in x alone would divide that constant, so every
+    irreducible factor h of a has positive y-degree.  If h^2 divides a, h
+    divides a_y too, and Res_y(a, a_y) = 0.  Conversely, with lc_y(a) a
+    nonzero constant, a zero resultant gives an irreducible h of positive
+    y-degree dividing a = h*q and a_y = h_y*q + h*q_y; h does not divide
+    h_y, which is nonzero and of lower y-degree, so h divides q.
+    """
+    if p.is_zero:
+        raise ValueError("squarefreeness of the zero polynomial is undefined")
+    if p.nvars == 3 and not p.is_homogeneous():
+        raise ValueError("three-variable squarefreeness needs homogeneous input")
+    partials = [p.diff(var) for var in range(p.nvars)]
+    combination = sum((d * w for d, w in zip(partials, (1, 3, 9))), Poly.zero(p.nvars))
+    if combination and _coprime_mod_p(p, combination):
+        return True
+    if p.nvars == 3:
+        if min(m[2] for m in p._terms) >= 2:
+            return False
+        p = dehomogenize(p, 2)
+    if p.total_degree() == 0:
+        return True
+    c = 0
+    while len((a := _sheared(p, c))[-1]) > 1:
+        c += 1
+    return bool(_resultant(a, [[j * v for v in row] for j, row in enumerate(a)][1:]))
 
 
 def _on_axis_only_at_origin(a: list[list[int]], b: list[list[int]]) -> bool:

@@ -94,8 +94,9 @@ class ProjectiveFoliation:
             raise EulerRelationError(residual)
         # A common factor of the triple divides the first coefficient and the
         # sum of the others, a pair the modular certificate usually settles;
-        # gcd(A, B) alone is often z (omega_F, line arrangements), which
-        # takes the remainder sequence.  The chain runs only to name a factor.
+        # gcd(A, B) alone is often z (omega_F, line arrangements), which no
+        # certificate settles and only the exact route over Z[x][y] finds.
+        # The chain runs only to name a factor.
         common = poly_gcd(nonzero[0], sum(nonzero[1:], Poly.zero(3)))
         if common.total_degree() > 0:
             common = nonzero[0]
@@ -415,6 +416,8 @@ def check_global_bound(
     singular points all appear in the certified list.
     """
     name = "projective-global"
+    if not curve.is_homogeneous():
+        raise ValueError("projective curves must be homogeneous")
     if not is_squarefree(curve):
         raise ValueError("the global bound concerns reduced curves")
     if not is_invariant_curve(form, curve):

@@ -436,6 +436,21 @@ class TestExitCodes:
         assert "curve" in err
 
     @pytest.mark.parametrize(
+        "curve, message",
+        [
+            ("x*y*z + x", "projective curves must be homogeneous"),
+            # homogeneity is checked first, also on a curve that is not reduced
+            ("x^2*y*z + x^2", "projective curves must be homogeneous"),
+            ("x^2*y*z", "the global bound concerns reduced curves"),
+        ],
+    )
+    def test_global_curve_input_errors(self, capsys, tmp_path, curve, message):
+        doc = tmp_path / "curve.fol"
+        doc.write_text(f"[projective]\nA = y*z\nB = 2*x*z\nC = -3*x*y\ncurve = {curve}\n")
+        code, out, err = run(capsys, "projective-global", doc)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "command",
         [
             "invariants",

@@ -375,24 +375,29 @@ class TestDivisionAndGcd:
         assert is_squarefree(P("y^2 - x^3"))
 
 
+def _homogenized(p, extra=0):
+    """The two-variable p as a form in x, y, z of degree deg p + extra."""
+    top = p.total_degree() + extra
+    return Poly(3, {(i, j, top - i - j): c for (i, j), c in p.items()})
+
+
 @st.composite
 def _squarefree_draws(draw):
-    """p in 2 or 3 variables, times the square of a nonconstant q when planted."""
+    """p in 2 variables, or a form in 3, times the square of a nonconstant q
+    when planted; three-variable draws reach degree 15."""
     nvars = draw(st.sampled_from((2, 3)))
 
     def poly(max_exponent, max_terms):
-        exponent = st.tuples(*(st.integers(0, max_exponent) for _ in range(nvars)))
+        exponent = st.tuples(*(st.integers(0, max_exponent) for _ in range(2)))
         coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
         terms = draw(st.dictionaries(exponent, coeff, min_size=1, max_size=max_terms))
-        p = Poly(nvars, terms)
+        p = Poly(2, terms)
         assume(not p.is_zero)
-        return p
+        return p if nvars == 2 else _homogenized(p, draw(st.integers(0, 1)))
 
-    # three-variable draws are kept smaller: the exact gcd of a non-squarefree
-    # p with its partials is a pseudo-remainder sequence in three variables
-    p = poly(3, 5) if nvars == 2 else poly(2, 4)
+    p = poly(4, 6)
     if draw(st.booleans()):
-        q = poly(1, 3 if nvars == 2 else 2)
+        q = poly(1, 3)
         assume(q.total_degree() > 0)
         p = p * q * q
     return p
@@ -408,17 +413,12 @@ class TestSquarefree:
         assert is_squarefree(p) == reference.is_sqf
 
     def _gcd_calls(self, monkeypatch, p):
-        """is_squarefree(p) and the second argument of each outer poly_gcd call."""
-        calls, depth = [], [0]
+        """is_squarefree(p) and the second argument of each poly_gcd call."""
+        calls = []
 
         def spy(a, b):
-            if not depth[0]:
-                calls.append(b)
-            depth[0] += 1
-            try:
-                return poly_gcd(a, b)
-            finally:
-                depth[0] -= 1
+            calls.append(b)
+            return poly_gcd(a, b)
 
         monkeypatch.setattr(polynomials, "poly_gcd", spy)
         return polynomials.is_squarefree(p), calls
@@ -430,61 +430,119 @@ class TestSquarefree:
         assert self._gcd_calls(monkeypatch, P("x*y*(x - y)")) == (True, [])
 
     def test_combination_sharing_a_factor_goes_on_to_the_partials(self, monkeypatch):
-        # with c = (1, 3): c.grad(x*(y - 3x)) = y - 3x, a factor of p
+        # with c = (1, 3): c.grad(x*(y - 3x)) = y - 3x, a factor of p; the
+        # discriminant Res_y(p, p_y) decides, with no gcd
         p = P("x*(y - 3*x)")
         assert p.diff(0) + p.diff(1) * 3 == P("y - 3*x")
-        assert self._gcd_calls(monkeypatch, p) == (True, [p.diff(0)])
+        assert self._gcd_calls(monkeypatch, p) == (True, [])
 
     def test_vanishing_combination_goes_on_to_the_partials(self, monkeypatch):
-        # c.grad(y - 3x) = 0, so the first gcd taken is with p_x = -3
-        assert self._gcd_calls(monkeypatch, P("y - 3*x")) == (True, [P("-3")])
-        p = P("(y - 3*x)^2")
-        assert self._gcd_calls(monkeypatch, p) == (False, [p.diff(0), p.diff(1)])
+        # c.grad(y - 3x) = 0, so the discriminant decides, with no gcd
+        assert self._gcd_calls(monkeypatch, P("y - 3*x")) == (True, [])
+        assert self._gcd_calls(monkeypatch, P("(y - 3*x)^2")) == (False, [])
+
+    def test_shear_to_a_constant_leading_coefficient(self):
+        # the y-leading coefficient of x^2*y is x^2; x -> x + y makes it 1
+        assert not is_squarefree(P("x^2*y"))
+        assert is_squarefree(P("x*(x + y)*y"))
+        assert not is_squarefree(P("(x^2*y + x^3)*z", nvars=3))
+
+    def test_non_homogeneous_three_variable_input_is_rejected(self):
+        with pytest.raises(ValueError, match="homogeneous"):
+            is_squarefree(P("x*y + z", nvars=3))
+        with pytest.raises(ValueError, match="homogeneous"):
+            poly_gcd(P("x*y + z", nvars=3), P("x", nvars=3))
+        with pytest.raises(ValueError, match="homogeneous"):
+            poly_gcd(Poly.zero(3), P("x^2 + z", nvars=3))
 
     def test_three_variables(self):
         assert is_squarefree(P("x*y*z + z^3", nvars=3))
         assert not is_squarefree(P("x*(y - 3*x + 9*z)^2", nvars=3))
         assert is_squarefree(P("y - 3*x", nvars=3))
         assert not is_squarefree(P("(z - 9*x)^2*y", nvars=3))
+        assert not is_squarefree(P("x*z^2", nvars=3))
+        assert is_squarefree(P("x*z", nvars=3))
 
 
 @st.composite
 def _gcd_pairs(draw):
-    """Small pairs in 2 or 3 variables, some built to share a factor.
+    """Small pairs in 2 variables, or forms in 3, some built to share a factor.
 
     ``planted`` multiplies both by a common factor; ``skip`` multiplies a by
-    x - 7, so that its y- and z-leading coefficients vanish at the first
-    certificate point; ``shared`` draws b in a single variable.
+    x - 7, or by (26x - 7z)(50x - 7y) in three variables, so that its y- and
+    z-leading coefficients vanish at the first certificate point; ``shared``
+    keeps the terms of b free of one variable.
     """
     nvars = draw(st.sampled_from((2, 3)))
-    x = Poly.variable(nvars, 0)
 
-    def poly(variables=tuple(range(nvars))):
-        exponent = st.tuples(*(
-            st.integers(0, 2) if i in variables else st.just(0)
-            for i in range(nvars)
-        ))
+    def poly():
+        exponent = st.tuples(st.integers(0, 2), st.integers(0, 2))
         coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
         terms = draw(st.dictionaries(exponent, coeff, min_size=1, max_size=4))
-        p = Poly(nvars, terms)
+        p = Poly(2, terms)
         assume(not p.is_zero)
-        return p
+        return p if nvars == 2 else _homogenized(p, draw(st.integers(0, 1)))
 
     kind = draw(st.sampled_from(("plain", "planted", "skip", "shared")))
     a = poly()
     if kind == "shared":
-        return a, poly((draw(st.integers(0, nvars - 1)),))
+        var = draw(st.integers(0, nvars - 1))
+        b = Poly(nvars, {m: c for m, c in poly().items() if not m[var]})
+        assume(not b.is_zero)
+        return a, b
     b = poly()
     if kind == "planted":
         c = poly()
         assume(c.total_degree() > 0)
         return a * c, b * c
     if kind == "skip":
-        return a * (x - 7), b
+        skip = P("x - 7") if nvars == 2 else P("(26*x - 7*z)*(50*x - 7*y)", nvars=3)
+        return a * skip, b
     return a, b
 
 
+@st.composite
+def _planted_zero_pairs(draw):
+    """Forms a, b with common zeros (s : 2 : 3), and a common factor c.
+
+    Each zero lies on the line 2z = 3y, and (1 : 2 : 3) on y = 2x and z = 3x
+    too: lines through all the points (t, 2t, 3t) that the certificate once
+    used.  a and b are 3y - 2z times a form plus the product of the 2x - sy
+    times another.  c is a form of degree 0 to 2.
+    """
+    slopes = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3, unique=True))
+    degree = draw(st.integers(len(slopes), 4))
+
+    def form(d):
+        exponents = [(i, j, d - i - j) for i in range(d + 1) for j in range(d + 1 - i)]
+        coeffs = draw(st.lists(
+            st.integers(-5, 5), min_size=len(exponents), max_size=len(exponents)
+        ))
+        return Poly(3, dict(zip(exponents, coeffs)))
+
+    through = Poly.constant(3, 1)
+    for s in slopes:
+        through = through * P(f"2*x - ({s})*y", nvars=3)
+    a, b = (P("3*y - 2*z", nvars=3) * form(degree - 1)
+            + through * form(degree - len(slopes)) for _ in range(2))
+    c = form(draw(st.integers(0, 2)))
+    assume(not (a.is_zero or b.is_zero or c.is_zero))
+    return a, b, c
+
+
 class TestCoprimeCertificate:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(_planted_zero_pairs())
+    def test_common_zeros_on_one_ray_leave_the_certificate(self, case):
+        sympy = pytest.importorskip("sympy")
+        a, b, c = case
+        symbols = sympy.symbols("x y z")
+        assume(sympy.gcd(sympy_expr(a, symbols), sympy_expr(b, symbols)).is_number)
+        assert polynomials._coprime_mod_p(a, b)
+        reference = sympy.gcd(sympy_expr(a * c, symbols), sympy_expr(b * c, symbols))
+        g = poly_gcd(a * c, b * c)
+        assert sympy.cancel(sympy_expr(g, symbols) / reference).is_number
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=120)
     @given(_gcd_pairs())
     def test_gcd_and_certificate_against_sympy(self, pair):
@@ -510,9 +568,11 @@ class TestCoprimeCertificate:
         for nvars in (2, 3):
             for _ in range(15):
                 a, b, c = (
-                    random_nonzero_poly(rng, nvars=nvars, max_degree=d, max_terms=4)
+                    random_nonzero_poly(rng, max_degree=d, max_terms=4)
                     for d in (3, 3, 2)
                 )
+                if nvars == 3:
+                    a, b, c = (_homogenized(p, rng.randint(0, 1)) for p in (a, b, c))
                 pairs += [(a, b), (a * c, b * c)]
         certified = [poly_gcd(a, b) for a, b in pairs]
         coprime = [pair for pair, g in zip(pairs, certified) if g.total_degree() == 0]
@@ -630,28 +690,30 @@ class TestEngineInconsistency:
     """Cross-checks inside the gcd, the eliminant and the squarefree part raise,
     also under -O.
 
-    The gcd inputs are a coprime pair, which the modular certificate settles
+    The gcd inputs are coprime pairs, which the modular certificate settles
     before the remainder sequence; the gcd tests turn it off so that the
-    cross-checks of the remainder sequence still run.
+    exact divisions of the remainder sequence still run.
     """
 
     def test_content_not_dividing_input(self, monkeypatch):
+        # the contents of y^2 + x and y + 1 are gcds of x, 1 and of 1, 1
         monkeypatch.setattr(polynomials, "_coprime_mod_p", lambda a, b: False)
-        monkeypatch.setattr(polynomials, "try_exact_div", lambda p, q: None)
-        with pytest.raises(EngineInconsistencyError, match="its polynomial"):
+        monkeypatch.setattr(polynomials, "_zx_gcd", lambda a, b: [2, 1])
+        with pytest.raises(EngineInconsistencyError, match="not exact"):
             poly_gcd(P("y^2 + x"), P("y + 1"))
 
     def test_content_not_dividing_remainder(self, monkeypatch):
-        # the pseudo-remainder of y^2 + x by y + 1 in y is x + 1
+        # the pseudo-remainder of y^3 + x by y^2 + 1 is x - y, with content
+        # gcd(x, -1); x + 2 divides neither
         monkeypatch.setattr(polynomials, "_coprime_mod_p", lambda a, b: False)
-        original = polynomials.try_exact_div
+        original = polynomials._zx_gcd
         monkeypatch.setattr(
             polynomials,
-            "try_exact_div",
-            lambda p, q: None if p == P("x + 1") else original(p, q),
+            "_zx_gcd",
+            lambda a, b: [2, 1] if b == [-1] else original(a, b),
         )
-        with pytest.raises(EngineInconsistencyError, match="pseudo-remainder"):
-            poly_gcd(P("y^2 + x"), P("y + 1"))
+        with pytest.raises(EngineInconsistencyError, match="not exact"):
+            poly_gcd(P("y^3 + x"), P("y^2 + 1"))
 
     def test_zero_eliminant(self, monkeypatch):
         monkeypatch.setattr(projective, "_resultant", lambda a, b: [])
@@ -671,19 +733,18 @@ class TestEngineInconsistency:
             "from folgerm.localalg import EngineInconsistencyError\n"
             "from folgerm.polynomials import parse_poly\n"
             "P = lambda text: parse_poly(text, 2)\n"
-            "exact = polynomials.try_exact_div\n"
+            "content = polynomials._zx_gcd\n"
             "def attempt(call):\n"
             "    try:\n"
             "        call()\n"
             "    except EngineInconsistencyError:\n"
             "        print('raised', sys.flags.optimize)\n"
             "polynomials._coprime_mod_p = lambda a, b: False\n"
-            "polynomials.try_exact_div = lambda p, q: None\n"
+            "polynomials._zx_gcd = lambda a, b: [2, 1]\n"
             "attempt(lambda: polynomials.poly_gcd(P('y^2 + x'), P('y + 1')))\n"
-            "polynomials.try_exact_div = (\n"
-            "    lambda p, q: None if p == P('x + 1') else exact(p, q))\n"
-            "attempt(lambda: polynomials.poly_gcd(P('y^2 + x'), P('y + 1')))\n"
-            "polynomials.try_exact_div = exact\n"
+            "polynomials._zx_gcd = lambda a, b: [2, 1] if b == [-1] else content(a, b)\n"
+            "attempt(lambda: polynomials.poly_gcd(P('y^3 + x'), P('y^2 + 1')))\n"
+            "polynomials._zx_gcd = content\n"
             "projective._resultant = lambda a, b: []\n"
             "attempt(lambda: projective._affine_common_zeros(P('y - x'), P('y + x')))\n"
             "blowup._zx_gcd = lambda a, b: [3, 1]\n"

