@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .germs import require_isolated
 from .localalg import EngineInconsistencyError
-from .polynomials import Poly, _zx_div, _zx_gcd
+from .polynomials import Poly, _integer_terms, _zx_div, _zx_gcd
 
 MAX_BLOWUPS_DEFAULT = 24
 
@@ -210,30 +210,32 @@ def classify_point(P: Poly, Q: Poly) -> PointClassification:
 # rational roots along the exceptional line
 
 
-def _restrict_to_line(p: Poly) -> list[Fraction]:
-    """Coefficients of ``p(0, t)`` by power of ``t``."""
-    coeffs = [Fraction(0)] * (max(p.degree_in(1), 0) + 1)
-    for (i, j), c in p.items():
-        if i == 0:
-            coeffs[j] += c
+def _section_in_y(p: Poly, x0: Fraction) -> list[int]:
+    """Coefficients of p(x0, t) by power of t, times a nonzero integer.
+
+    With x0 = n/d and D = deg_x p, the t^j coefficient is the integer
+    sum_i c_ij n^i d^(D - i), over the coefficients c_ij of p with
+    denominators cleared.
+    """
+    n, d, top = x0.numerator, x0.denominator, max(p.degree_in(0), 0)
+    coeffs = [0] * (max(p.degree_in(1), 0) + 1)
+    for (i, j), c in _integer_terms(p).items():
+        coeffs[j] += c * n**i * d ** (top - i)
     return coeffs
 
 
-def horner(coeffs: list[Fraction], value: Fraction) -> Fraction:
-    """The value at ``value`` of the polynomial with these coefficients."""
-    acc = Fraction(0)
+def horner(coeffs: list[int], root: Fraction) -> int:
+    """d^k f(n/d) for f = sum coeffs[i] t^i, k = len(coeffs) - 1 and root = n/d.
+
+    The homogeneous value sum coeffs[i] n^i d^(k - i): an integer for integer
+    coefficients, zero exactly when the root is a root of f.
+    """
+    n, d = root.numerator, root.denominator
+    acc, power = 0, 1
     for c in reversed(coeffs):
-        acc = acc * value + c
+        acc = acc * n + c * power
+        power *= d
     return acc
-
-
-def _deflate(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
-    out = [Fraction(0)] * (len(coeffs) - 1)
-    acc = Fraction(0)
-    for i in range(len(coeffs) - 1, 0, -1):
-        acc = acc * root + coeffs[i]
-        out[i - 1] = acc
-    return out
 
 
 def _eval_mod(coeffs: list[int], value: int, modulus: int) -> int:
@@ -258,7 +260,9 @@ def rational_roots(coeffs: list[Fraction | int]) -> tuple[list[Fraction], Poly, 
     * p is the first prime not dividing lc(s) at which every root of s mod p
       (s evaluated at 0, ..., p - 1) is simple; each is lifted by Newton
       iteration until ``p**k > 2*|lc(s)|*|s(0)|``, and u = lc(s)*r mod p**k,
-      read in the symmetric range, gives u/lc(s), kept if it is a root.
+      read in the symmetric range, gives u/lc(s) = n/d, kept if it is a root
+      (``horner``); the rest, cleared to a primitive integer list, is divided
+      by d*t - n over Z (``_zx_div``) while n/d is a root of it.
 
     No root is missed: a root a/b in lowest terms has b | lc(s) and
     |a| <= |s(0)|, its image mod p is a simple root with a unique lift, and
@@ -275,8 +279,9 @@ def rational_roots(coeffs: list[Fraction | int]) -> tuple[list[Fraction], Poly, 
         work.pop(0)
     if len(work) > 1:
         scale = math.lcm(*(c.denominator for c in work))
-        scale = Fraction(scale, math.gcd(*(c.numerator for c in work)))
-        s = [int(c * scale) for c in work]
+        work = [c.numerator * (scale // c.denominator) for c in work]
+        content = math.gcd(*work)
+        s = work = [v // content for v in work]
         if len(s) > 3 or len(s) == 3 and s[1] ** 2 == 4 * s[0] * s[2]:
             s = _zx_div(s, _zx_gcd(s, [i * c for i, c in enumerate(s)][1:]))
         lead, ds = s[-1], [i * c for i, c in enumerate(s)][1:]
@@ -296,7 +301,7 @@ def rational_roots(coeffs: list[Fraction | int]) -> tuple[list[Fraction], Poly, 
             if horner(s, root) == 0:
                 roots.append(root)
                 while horner(work, root) == 0:
-                    work = _deflate(work, root)
+                    work = _zx_div(work, [-root.numerator, root.denominator])
     residual = Poly(2, {(0, i): c for i, c in enumerate(work)}).primitive()
     return sorted(roots), residual, True
 
@@ -433,7 +438,7 @@ class _Reduction:
 
         A1, B1 = data.chart1
         scan = B1 if data.dicritical else A1
-        roots, residual, _ = rational_roots(_restrict_to_line(scan))
+        roots, residual, _ = rational_roots(_section_in_y(scan, Fraction(0)))
         if residual.total_degree() > 0:
             raise IrrationalSingularPointError(residual)
         if old_y and Fraction(0) not in roots:

@@ -22,7 +22,7 @@ from typing import Sequence
 from .localalg import EngineInconsistencyError, StandardBasis, standard_basis
 from .polynomials import (
     Poly,
-    divides,
+    divides_wedge,
     intersection_at_origin,
     is_squarefree,
     poly_gcd,
@@ -133,12 +133,11 @@ def multiplicity(f: FoliationGerm) -> int:
 
 
 def invariance_test(f: FoliationGerm, curve: CurveGerm) -> bool:
-    """Whether the wedge of omega with d(curve) is divisible by the curve."""
-    g = curve.poly
-    wedge = f.P * g.diff(1) - f.Q * g.diff(0)
-    if wedge.is_zero:
-        return True
-    return divides(g, wedge)
+    """Whether the curve divides the wedge of omega with d(curve).
+
+    One exact division over Z (``polynomials.divides_wedge``).
+    """
+    return divides_wedge(curve.poly, (f.P, f.Q))
 
 
 def validate_balanced(f: FoliationGerm, b: BalancedEquation) -> None:

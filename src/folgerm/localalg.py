@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 from .linalg import sparse_int_echelon
 from .polynomials import EngineInconsistencyError, Monomial, Poly  # noqa: F401
 
-_MIN_TRUNCATION = 4
+_MIN_TRUNCATION = 2
 
 
 def column_key(monomial: Monomial) -> tuple:
@@ -155,10 +155,12 @@ class StandardBasis:
 
 
 def _first_truncation(gens: list[Poly]) -> int:
-    """a + b for the two smallest generator orders a <= b, and at least 4.
+    """a + b for the two smallest generator orders a <= b, and at least 2.
 
     Two generic generators of orders a and b leave m^(a+b-1) inside I, so M =
-    a + b is the first truncation that can certify them.
+    a + b is the first truncation that can certify them: M = 2 certifies
+    independent linear parts (N = 1).  Not 1: the growth M + M // 2 stalls
+    there.  Where M starts changes neither N nor the staircase.
     """
     return max(_MIN_TRUNCATION, sum(sorted(g.order() for g in gens)[:2]))
 

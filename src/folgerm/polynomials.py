@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import combinations
 from math import comb as _comb
 from math import gcd as _int_gcd
 from math import lcm as _lcm
@@ -203,42 +204,6 @@ class Poly:
             lowered[var] = e - 1
             result[tuple(lowered)] = coeff * e
         return Poly._trusted(self.nvars, result)
-
-    def substitute(self, images: Mapping[int, Poly]) -> Poly:
-        """Substitute ``images[i]`` for variable ``i`` (identity if missing)."""
-        nvars_out = None
-        for image in images.values():
-            if nvars_out is None:
-                nvars_out = image.nvars
-            elif image.nvars != nvars_out:
-                raise ValueError("substitution images disagree on arity")
-        if nvars_out is None:
-            nvars_out = self.nvars
-        base: list[Poly] = []
-        for i in range(self.nvars):
-            if i in images:
-                base.append(images[i])
-            else:
-                if nvars_out != self.nvars:
-                    raise ValueError("partial substitution must preserve arity")
-                base.append(Poly.variable(self.nvars, i))
-        # Cache powers of each image up to the needed exponent.
-        powers: list[list[Poly]] = []
-        for i in range(self.nvars):
-            top = self.degree_in(i)
-            cache = [Poly.constant(nvars_out, 1)]
-            for _ in range(max(top, 0)):
-                cache.append(cache[-1] * base[i])
-            powers.append(cache)
-        # summed in one dict: adding Polys would copy the running total per term
-        total: dict[Monomial, Fraction] = {}
-        for monomial, coeff in self._terms.items():
-            term = Poly.constant(nvars_out, coeff)
-            for i, e in enumerate(monomial):
-                if e:
-                    term = term * powers[i][e]
-            _add_terms(total, term._terms.items())
-        return Poly._trusted(nvars_out, total)
 
     def shift(self, offsets: Iterable[Fraction | int]) -> Poly:
         """Translate: substitute ``x_i + offset_i`` for each variable.
@@ -535,34 +500,79 @@ def parse_poly(
 # -- divisibility and the coprimality certificate --------------------------
 
 
+def _integer_terms(p: Poly, scale: int = 0) -> dict[Monomial, int]:
+    """scale * p as ints, by default with scale the lcm of p's denominators."""
+    scale = scale or _lcm(*(c.denominator for c in p._terms.values()))
+    return {m: c.numerator * (scale // c.denominator) for m, c in p._terms.items()}
+
+
+def _exact_quotient(numerator: dict[Monomial, int],
+                    divisor: dict[Monomial, int]) -> dict[Monomial, int] | None:
+    """numerator / divisor over Z, for a primitive divisor; None if it does not divide.
+
+    Long division under the lexicographic order.  A single divisor is a
+    Groebner basis of the ideal it generates, so the remainder vanishes
+    exactly when it divides, and the quotient comes out term by term.  By Gauss's lemma
+    contents multiply, so an exact quotient of an integer polynomial by a
+    primitive one has integer content and integer coefficients: a step
+    whose quotient coefficient is not an integer proves "does not divide".
+    """
+    lead = max(divisor)
+    lead_coeff = divisor[lead]
+    quotient: dict[Monomial, int] = {}
+    rest = dict(numerator)
+    while rest:
+        top = max(rest)
+        delta = tuple(a - b for a, b in zip(top, lead))
+        factor, remainder = divmod(rest[top], lead_coeff)
+        if remainder or any(e < 0 for e in delta):
+            return None
+        quotient[delta] = factor
+        _add_product(rest, {delta: -factor}, divisor)
+    return quotient
+
+
 def try_exact_div(numerator: Poly, denominator: Poly) -> Poly | None:
     """Return ``numerator / denominator`` when the division is exact.
 
-    Long division with a single divisor under the printing order; a single
-    divisor is a Groebner basis of the ideal it generates, so a vanishing
-    remainder is equivalent to divisibility.
+    With numerator = N/s for the lcm s of its denominators and denominator =
+    c*D for its content c, the quotient is (N/D) / (s*c), and N/D comes from
+    one exact division over Z (``_exact_quotient``).
     """
     if denominator.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    if numerator.is_zero:
-        return Poly.zero(numerator.nvars)
     numerator._check_arity(denominator)
-    lead = min(denominator._terms, key=_print_key)
-    lead_coeff = denominator._terms[lead]
-    quotient: dict[Monomial, Fraction] = {}
-    rest = dict(numerator._terms)
-    while rest:
-        top = min(rest, key=_print_key)
-        delta = tuple(a - b for a, b in zip(top, lead))
-        if any(e < 0 for e in delta):
-            return None
-        quotient[delta] = factor = rest[top] / lead_coeff
-        _add_product(rest, {delta: -factor}, denominator._terms)
-    return Poly._trusted(numerator.nvars, quotient)
+    content = denominator.content()
+    divisor = _integer_terms(denominator * (1 / content))
+    quotient = _exact_quotient(_integer_terms(numerator), divisor)
+    if quotient is None:
+        return None
+    scale = 1 / (_lcm(*(c.denominator for c in numerator._terms.values())) * content)
+    return Poly._trusted(numerator.nvars, {m: v * scale for m, v in quotient.items()})
 
 
 def divides(denominator: Poly, numerator: Poly) -> bool:
     return try_exact_div(numerator, denominator) is not None
+
+
+def divides_wedge(curve: Poly, coefficients: tuple[Poly, ...]) -> bool:
+    """Whether the curve divides omega ^ d(curve), for omega = sum c_i dx_i.
+
+    The wedge has the coefficients c_i f_j - c_j f_i (i < j) for the partials
+    f_i of the curve f.  They are formed over Z, with the denominators of the
+    c_i cleared by one common scale and f made primitive, which changes no
+    divisibility, and each is decided by ``_exact_quotient``.
+    """
+    scale = _lcm(*(c.denominator for p in coefficients for c in p._terms.values()))
+    rows = [_integer_terms(p, scale) for p in coefficients]
+    g = curve.primitive()
+    f, grad = _integer_terms(g), [_integer_terms(g.diff(v)) for v in range(g.nvars)]
+    for i, j in combinations(range(len(rows)), 2):
+        minor = _add_product({}, rows[i], grad[j])
+        _add_product(minor, {m: -c for m, c in rows[j].items()}, grad[i])
+        if _exact_quotient(minor, f) is None:
+            return False
+    return True
 
 
 _CERT_PRIME = 2**31 - 1
@@ -571,11 +581,7 @@ _CERT_POINTS = (7, 1234567, 98765431)
 
 def _image_mod_p(p: Poly) -> dict[Monomial, int]:
     """Coefficients of p times the lcm of its denominators, reduced mod the prime."""
-    scale = _lcm(*(c.denominator for c in p._terms.values()))
-    return {
-        m: c.numerator * (scale // c.denominator) % _CERT_PRIME
-        for m, c in p._terms.items()
-    }
+    return {m: c % _CERT_PRIME for m, c in _integer_terms(p).items()}
 
 
 def _specialize(image: dict[Monomial, int], var: int, values: tuple[int, ...],
@@ -782,10 +788,8 @@ def _resultant(a: list[list[int]], b: list[list[int]]) -> list[int]:
 
 def _sheared(p: Poly, c: int) -> list[list[int]]:
     """p(x + c*y, y) in Z[x][y], times the lcm of p's denominators."""
-    scale = _lcm(*(v.denominator for v in p._terms.values()))
     rows: dict[int, dict[int, int]] = {}
-    for (i, j), v in p._terms.items():
-        v = v.numerator * (scale // v.denominator)
+    for (i, j), v in _integer_terms(p).items():
         for k in range(i + 1) if c else (i,):
             row = rows.setdefault(j + i - k, {})
             row[k] = row.get(k, 0) + v * _comb(i, k) * c ** (i - k)

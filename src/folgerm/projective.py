@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .blowup import horner, rational_roots
+from .blowup import _section_in_y, horner, rational_roots
 from .germs import (
     BalancedEquation,
     CurveGerm,
@@ -35,10 +35,11 @@ from .germs import (
 from .polynomials import (
     EngineInconsistencyError,
     Poly,
+    _integer_terms,
     _resultant,
     _sheared,
     dehomogenize,
-    divides,
+    divides_wedge,
     is_squarefree,
     poly_gcd,
 )
@@ -119,19 +120,15 @@ def is_invariant_curve(form: ProjectiveFoliation, curve: Poly) -> bool:
     """Whether the homogeneous curve is invariant for the foliation.
 
     The wedge of the form with the differential of the curve has three
-    coefficients; the curve is invariant when it divides all of them.
+    coefficients; the curve is invariant when it divides all of them.  They
+    are formed over Z and each is decided by one exact division over Z
+    (``polynomials.divides_wedge``).
     """
     if curve.nvars != 3 or curve.is_zero:
         raise ValueError("expected a nonzero polynomial in three variables")
     if not curve.is_homogeneous():
         raise ValueError("projective curves must be homogeneous")
-    fx, fy, fz = (curve.diff(i) for i in range(3))
-    wedge = (
-        form.A * fy - form.B * fx,
-        form.A * fz - form.C * fx,
-        form.B * fz - form.C * fy,
-    )
-    return all(w.is_zero or divides(curve, w) for w in wedge)
+    return divides_wedge(curve, (form.A, form.B, form.C))
 
 
 @dataclass(frozen=True)
@@ -152,24 +149,16 @@ class ProjectivePoint:
         return "[" + " : ".join(str(c) for c in self.coords) + "]"
 
 
-def _restrict_to_infinity(p: Poly) -> list[Fraction]:
-    """Coefficients of p(t, 1, 0) by power of t."""
-    coeffs = [Fraction(0)] * (max(p.degree_in(0), 0) + 1)
-    for (i, j, k), c in p.items():
+def _restrict_to_infinity(p: Poly) -> list[int]:
+    """Coefficients of p(t, 1, 0) by power of t, with p's denominators cleared."""
+    coeffs = [0] * (max(p.degree_in(0), 0) + 1)
+    for (i, j, k), c in _integer_terms(p).items():
         if k == 0:
             coeffs[i] += c
     return coeffs
 
 
-def _section_in_y(p: Poly, x0: Fraction) -> list[Fraction]:
-    """Coefficients of p(x0, t) by power of t."""
-    coeffs = [Fraction(0)] * (max(p.degree_in(1), 0) + 1)
-    for (i, j), c in p.items():
-        coeffs[j] += c * x0**i
-    return coeffs
-
-
-def _line_roots(first: list[Fraction], second: list[Fraction]) -> list[Fraction]:
+def _line_roots(first: list[int], second: list[int]) -> list[Fraction]:
     """Common rational roots of two univariate coefficient lists.
 
     One root search, on the first nonzero list; the other list is only

@@ -29,6 +29,23 @@ def random_nonzero_poly(rng: random.Random, **kw) -> Poly:
             return p
 
 
+def substitute(p: Poly, images) -> Poly:
+    """p with ``images[i]`` put for variable i (identity if missing).
+
+    A reference for the blow-up charts and ``Poly.shift``, by plain ``Poly``
+    products, term by term.
+    """
+    nvars = next(iter(images.values())).nvars if images else p.nvars
+    base = [images.get(i, Poly.variable(nvars, i)) for i in range(p.nvars)]
+    total = Poly.zero(nvars)
+    for monomial, coeff in p.items():
+        term = Poly.constant(nvars, coeff)
+        for image, e in zip(base, monomial):
+            term = term * image**e
+        total = total + term
+    return total
+
+
 def sympy_expr(p: Poly, symbols):
     """p as a sympy expression: a reference for tests, never for the package."""
     import sympy

@@ -18,7 +18,7 @@ from folgerm.blowup import (
 from folgerm.germs import FoliationGerm
 from folgerm.polynomials import Poly, parse_poly
 
-from conftest import random_nonzero_poly
+from conftest import random_nonzero_poly, substitute, sympy_expr
 
 
 def P(text):
@@ -84,10 +84,10 @@ class TestSingleBlowup:
             data = blow_up(p, q)
             dicritical += data.dicritical
             charts = (
-                (p.substitute({1: x * y}) + y * q.substitute({1: x * y}),
-                 x * q.substitute({1: x * y})),
-                (y * p.substitute({0: x * y}),
-                 x * p.substitute({0: x * y}) + q.substitute({0: x * y})),
+                (substitute(p, {1: x * y}) + y * substitute(q, {1: x * y}),
+                 x * substitute(q, {1: x * y})),
+                (y * substitute(p, {0: x * y}),
+                 x * substitute(p, {0: x * y}) + substitute(q, {0: x * y})),
             )
             for var, found, pulled in zip((0, 1), (data.chart1, data.chart2), charts):
                 power = Poly.variable(2, var) ** data.m
@@ -244,6 +244,55 @@ def test_rational_roots_match_sympy(coeffs):
     assert certified
     assert roots == sorted(expected)
     assert residual.total_degree() == len(coeffs) - 1 - sum(expected.values())
+
+
+@st.composite
+def _repeated_fractional_roots(draw):
+    """Integer polynomials of degree 3 to 8 with repeated roots a/b, b >= 2.
+
+    Each planted factor (b*t - a)^e has e in 1..3; t^k and an irreducible
+    quadratic t^2 - c (c = 2, 3 or 5) may join it.
+    """
+    factors = draw(st.lists(
+        st.tuples(st.integers(-9, 9), st.integers(2, 7), st.integers(1, 3)),
+        min_size=1, max_size=3,
+    ))
+    coeffs = [draw(st.integers(1, 6)) * draw(st.sampled_from((-1, 1)))]
+    for a, b, e in factors:
+        for _ in range(e):
+            coeffs = [b * hi - a * lo for lo, hi in zip(coeffs + [0], [0] + coeffs)]
+    if draw(st.booleans()):
+        c = draw(st.sampled_from((2, 3, 5)))
+        coeffs = [hi - c * lo for lo, hi in zip(coeffs + [0, 0], [0, 0] + coeffs)]
+    coeffs = [0] * draw(st.integers(0, 2)) + coeffs
+    assume(3 <= len(coeffs) - 1 <= 8)
+    return coeffs
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(_repeated_fractional_roots(), st.sampled_from((1, Fraction(-3, 4), Fraction(5, 6))))
+def test_repeated_fractional_roots_match_sympy(coeffs, scale):
+    sympy = pytest.importorskip("sympy")
+    expected = _sympy_rational_roots(coeffs)
+    roots, residual, _ = rational_roots([c * scale for c in coeffs])
+    assert roots == sorted(expected)
+    assert residual.total_degree() == len(coeffs) - 1 - sum(expected.values())
+    t = sympy.Symbol("t")
+    rest = sympy.Mul(*(
+        factor.as_expr() ** power
+        for factor, power in sympy.Poly(list(reversed(coeffs)), t).factor_list()[1]
+        if factor.degree() > 1
+    ))
+    found = sympy_expr(residual, sympy.symbols("x t"))
+    assert sympy.cancel(found / rest).is_number
+
+
+def test_repeated_fractional_roots_example():
+    # (3t - 2)^3 (5t + 7) t^2 (t^2 - 2), of degree 8
+    coeffs = [0, 0, 112, -424, 340, 374, -468, -81, 135]
+    roots, residual, _ = rational_roots(coeffs)
+    assert roots == [Fraction(-7, 5), Fraction(0), Fraction(2, 3)]
+    assert residual == P("y^2 - 2")
 
 
 class TestReduction:

@@ -11,6 +11,7 @@ from folgerm.germs import (
     FoliationGerm,
     milnor_foliation,
 )
+from folgerm import localalg
 from folgerm.linalg import bareiss_rank, kernel_basis
 from folgerm.localalg import (
     QuotientOperator,
@@ -145,6 +146,27 @@ class TestStandardBasis:
         assert outer_corners(sb.quotient_basis) == ((1, 1), (0, 2), (4, 0))
         dim = sb.quotient_dim()
         assert dim == macaulay_dim([P("y^2 - x^3"), P("x*y")], 12)
+
+
+class TestTruncationFloor:
+    def test_independent_linear_parts_certify_at_one(self):
+        gens = [P("2*x - y + x*y^3"), P("x + y^2")]
+        assert localalg._first_truncation(gens) == 2
+        sb = standard_basis(gens)
+        assert sb.truncation == 1
+        assert sb.quotient_dim() == 1
+
+    def test_growth_from_two(self):
+        gens = [P("y"), P("y + x^5")]
+        assert localalg._first_truncation(gens) == 2
+        sb = standard_basis(gens)
+        assert sb.quotient_dim() == 5
+        assert sb.truncation == 5
+
+    def test_unit_generator(self):
+        sb = standard_basis([P("1 + x*y")])
+        assert sb.quotient_dim() == 0
+        assert sb.truncation == 0
 
 
 class TestNormalForm:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_nonzero_poly, random_poly, sympy_expr
+from conftest import random_nonzero_poly, random_poly, substitute, sympy_expr
 from folgerm import blowup, polynomials, projective
 from folgerm.localalg import EngineInconsistencyError, standard_basis
 from folgerm.polynomials import (
@@ -244,7 +244,7 @@ class TestArithmetic:
     def test_substitute_blowup_chart(self):
         p = P("y^2 - x^3")
         x, y = Poly.variable(2, 0), Poly.variable(2, 1)
-        pulled = p.substitute({1: x * y})
+        pulled = substitute(p, {1: x * y})
         assert pulled == P("x^2*y^2 - x^3")
 
     def test_substitution_is_multiplicative(self):
@@ -255,8 +255,8 @@ class TestArithmetic:
         for _ in range(25):
             p = random_poly(rng)
             q = random_poly(rng)
-            assert (p * q).substitute(images) == p.substitute(images) * q.substitute(
-                images
+            assert substitute(p * q, images) == substitute(p, images) * substitute(
+                q, images
             )
 
     def test_shift(self):
@@ -276,7 +276,7 @@ class TestArithmetic:
                     i: Poly.variable(nvars, i) + value for i, value in enumerate(offsets)
                 }
                 shifted = p.shift(offsets)
-                assert shifted == p.substitute(images)
+                assert shifted == substitute(p, images)
                 assert all(c for _, c in shifted.items())
 
     def test_evaluate(self):
@@ -462,6 +462,54 @@ class TestSquarefree:
         assert not is_squarefree(P("(z - 9*x)^2*y", nvars=3))
         assert not is_squarefree(P("x*z^2", nvars=3))
         assert is_squarefree(P("x*z", nvars=3))
+
+
+@st.composite
+def _division_cases(draw):
+    """(f, g) in 2 or 3 variables with rational coefficients.
+
+    g is a random polynomial times k/m, so that with denominators cleared
+    its content is k >= 2.  f is random, the product g*q, or g*q with one
+    term changed.
+    """
+    nvars = draw(st.sampled_from((2, 3)))
+
+    def poly():
+        exponent = st.tuples(*(st.integers(0, 2) for _ in range(nvars)))
+        coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+        p = Poly(nvars, draw(st.dictionaries(exponent, coeff, min_size=1, max_size=4)))
+        assume(not p.is_zero)
+        return p
+
+    scale = Fraction(draw(st.integers(2, 12)), draw(st.sampled_from((1, 13, 17))))
+    g = poly().primitive() * scale
+    kind = draw(st.sampled_from(("random", "planted", "perturbed")))
+    if kind == "random":
+        return poly(), g
+    f = g * poly()
+    if kind == "perturbed":
+        monomial = draw(st.sampled_from(sorted(f.terms)))
+        f = f + Poly(nvars, {monomial: draw(st.sampled_from((-1, 1, Fraction(1, 2))))})
+    return f, g
+
+
+class TestExactDivision:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(_division_cases())
+    def test_against_sympy_div(self, case):
+        sympy = pytest.importorskip("sympy")
+        f, g = case
+        symbols = sympy.symbols("x y z")[: f.nvars]
+        quotient, remainder = sympy.div(
+            sympy_expr(f, symbols), sympy_expr(g, symbols), *symbols, domain="QQ"
+        )
+        exact = remainder == 0
+        assert divides(g, f) is exact
+        found = try_exact_div(f, g)
+        if exact:
+            assert sympy.expand(sympy_expr(found, symbols) - quotient) == 0
+        else:
+            assert found is None
 
 
 @st.composite
