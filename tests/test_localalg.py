@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_nonzero_poly, sympy_expr
+from folgerm import localalg
 from folgerm.germs import (
     BalancedEquation,
     CurveGerm,
     FoliationGerm,
     milnor_foliation,
 )
-from folgerm import localalg
 from folgerm.linalg import bareiss_rank, kernel_basis
 from folgerm.localalg import (
     QuotientOperator,
