@@ -288,8 +288,12 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     output = render_json(report) if args.json else render_text(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(output)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(output)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(output)
     return 1 if report.failed else 0

@@ -75,6 +75,28 @@ class FoliationGerm:
             if poly_gcd(self.P, self.Q).total_degree() > 0:
                 raise ValueError("components share a common factor")
 
+    @classmethod
+    def _of_coprime_chart_pair(cls, P: Poly, Q: Poly) -> FoliationGerm:
+        """The germ of a projective chart pair, with no gcd: it is coprime.
+
+        Only ``projective.chart_germ`` calls this, with the pair of a
+        ``ProjectiveFoliation`` form A dx + B dy + C dz in one affine chart,
+        translated to a point.  The pair is coprime.  gcd(A, B, C) = 1 was
+        checked when the form was built.  In each chart the Euler relation
+        writes the third coefficient through the pair: C = -xA - yB at
+        z = 1, B = -xA - zC at y = 1, and A = -yB - zC at x = 1.  So a
+        common factor h of the pair divides all three coefficients there;
+        the homogenization of h then divides A, B and C, so h is constant.
+        A translation is a ring automorphism and keeps the pair coprime.
+        The pair is never both zero: the chart of a nonzero homogeneous
+        coefficient is nonzero, and two vanishing coefficients force the
+        third to vanish.  Every other path runs the gcd of ``__post_init__``.
+        """
+        germ = object.__new__(cls)
+        object.__setattr__(germ, "P", P)
+        object.__setattr__(germ, "Q", Q)
+        return germ
+
     @property
     def is_singular(self) -> bool:
         return (

@@ -16,15 +16,29 @@ free columns are its basis (the staircase) and the pivot rows reduce onto
 it.  Before they stabilize the dimensions rise strictly, and generators of
 degree <= d have colength at most d^n when it is finite (Bezout), so a
 quotient still rising at degree d^n is infinite.
+
+The rows read only integer coefficients, orders and degrees, so each
+generator enters as its primitive integer term map: its coefficients times
+the lcm of their denominators, divided by their gcd, with no ``Fraction``
+arithmetic.  A nonzero scale of a generator changes neither the row space
+nor the staircase, so the coordinates of every class come out the same.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from .linalg import sparse_int_echelon
-from .polynomials import EngineInconsistencyError, Monomial, Poly  # noqa: F401
+from .polynomials import (  # noqa: F401
+    EngineInconsistencyError,
+    Monomial,
+    Poly,
+    _integer_terms,
+)
+
+Terms = dict[Monomial, int]
 
 _MIN_TRUNCATION = 2
 
@@ -51,26 +65,35 @@ def _monomials_below(nvars: int, degree: int) -> list[Monomial]:
     return sorted(out, key=column_key)
 
 
-def _integer_generators(gens: Iterable[Poly]) -> tuple[int, list[Poly]]:
+def _integer_generators(gens: Iterable[Poly]) -> tuple[int, list[Terms]]:
+    """The arity and the primitive integer term map of each nonzero generator."""
     nonzero = [g for g in gens if not g.is_zero]
     if not nonzero:
         raise ValueError("need at least one nonzero generator")
     nvars = nonzero[0].nvars
     if any(g.nvars != nvars for g in nonzero):
         raise ValueError("generators disagree on arity")
-    return nvars, [g.primitive() for g in nonzero]
+    out = []
+    for g in nonzero:
+        terms = _integer_terms(g)
+        content = gcd(*terms.values())
+        out.append({m: c // content for m, c in terms.items()} if content > 1 else terms)
+    return nvars, out
+
+
+def _order(terms: Terms) -> int:
+    return min(map(sum, terms))
 
 
 def _echelon(
-    gens: list[Poly], nvars: int, truncation: int
+    gens: list[Terms], nvars: int, truncation: int
 ) -> tuple[list[Monomial], dict[int, dict[int, int]]]:
     """Columns below ``truncation`` and the pivot rows of the Macaulay matrix."""
     columns = _monomials_below(nvars, truncation)
     column_index = {m: i for i, m in enumerate(columns)}
     rows: list[dict[int, int]] = []
-    for g in gens:
-        terms = {m: c.numerator for m, c in g.items()}
-        room = truncation - g.order()
+    for terms in gens:
+        room = truncation - _order(terms)
         for d in range(max(room, 0)):
             for shift in _monomials_of_degree(nvars, d):
                 row: dict[int, int] = {}
@@ -154,7 +177,7 @@ class StandardBasis:
         return self.normal_form(p).is_zero
 
 
-def _first_truncation(gens: list[Poly]) -> int:
+def _first_truncation(gens: list[Terms]) -> int:
     """a + b for the two smallest generator orders a <= b, and at least 2.
 
     Two generic generators of orders a and b leave m^(a+b-1) inside I, so M =
@@ -162,7 +185,7 @@ def _first_truncation(gens: list[Poly]) -> int:
     independent linear parts (N = 1).  Not 1: the growth M + M // 2 stalls
     there.  Where M starts changes neither N nor the staircase.
     """
-    return max(_MIN_TRUNCATION, sum(sorted(g.order() for g in gens)[:2]))
+    return max(_MIN_TRUNCATION, sum(sorted(map(_order, gens))[:2]))
 
 
 def standard_basis(gens: Iterable[Poly]) -> StandardBasis:
@@ -174,7 +197,7 @@ def standard_basis(gens: Iterable[Poly]) -> StandardBasis:
     do not depend on where M stops once N < M.
     """
     nvars, gens = _integer_generators(gens)
-    bezout = max(g.total_degree() for g in gens) ** nvars
+    bezout = max(sum(m) for terms in gens for m in terms) ** nvars
     truncation = min(_first_truncation(gens), bezout + 1)
     while True:
         columns, pivots = _echelon(gens, nvars, truncation)

@@ -12,6 +12,7 @@ a parse/print round trip.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -355,139 +356,144 @@ def _add_product(result: dict[Monomial, Fraction], a: Mapping[Monomial, Fraction
 #
 # The leading sign extension admits inputs like "-y".  A parameter is any
 # identifier other than a variable name; it must be bound to a rational in
-# the ``parameters`` mapping and is substituted during parsing.  An atom (a
-# rational, parameter or variable) is a (coefficient, exponent list) pair and
-# only a parenthesised group is a Poly; every term is added into one dict.
+# the ``parameters`` mapping and is substituted during parsing.  Blanks are
+# spaces and tabs.
+
+_BLANKS = re.compile(r"[ \t]*")
 
 
 class _Parser:
+    """Recursive descent over the grammar above, on integer atoms.
+
+    An atom (a rational, parameter or variable) is an integer numerator,
+    denominator and exponent list.  A term multiplies its atoms' integers
+    and makes one ``Fraction`` at its end, and only a parenthesised group is
+    a Poly; every term is added into one dict.  ``pos`` always rests on a
+    non-blank: each step past a token skips the blanks after it with one
+    compiled pattern.  An error reports the column of the offending
+    character, or the end of the digits for a zero denominator.
+    """
+
     def __init__(self, text: str, nvars: int, parameters: Mapping[str, Fraction]):
         self.text = text
         self.nvars = nvars
         self.parameters = parameters
-        self.pos = 0
+        self.pos = _BLANKS.match(text).end()
 
     def error(self, message: str) -> PolyParseError:
-        return PolyParseError(message, min(self.pos, len(self.text)))
-
-    def skip_space(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
+        return PolyParseError(message, self.pos)
 
     def peek(self) -> str:
-        self.skip_space()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.text[self.pos:self.pos + 1]
 
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
+    def advance(self, end: int) -> None:
+        """Move to ``end``, the end of a token, and past the blanks after it."""
+        self.pos = _BLANKS.match(self.text, end).end()
 
     def parse(self) -> Poly:
         value = self.parse_expr()
-        if self.peek():
+        if self.pos < len(self.text):
             raise self.error(f"unexpected character {self.peek()!r}")
         return value
 
     def parse_expr(self) -> Poly:
         total: dict[Monomial, Fraction] = {}
         sign = 1
-        if self.peek() in ("+", "-"):
-            sign = -1 if self.take() == "-" else 1
+        if (ch := self.peek()) in ("+", "-"):
+            sign = -1 if ch == "-" else 1
+            self.advance(self.pos + 1)
         self.add_term(total, sign)
-        while self.peek() in ("+", "-"):
-            self.add_term(total, -1 if self.take() == "-" else 1)
+        while (ch := self.peek()) in ("+", "-"):
+            self.advance(self.pos + 1)
+            self.add_term(total, -1 if ch == "-" else 1)
         return Poly._trusted(self.nvars, total)
 
     def add_term(self, total: dict[Monomial, Fraction], sign: int) -> None:
-        coeff, exponents, group = Fraction(sign), [0] * self.nvars, None
+        num, den, exponents, group = sign, 1, [0] * self.nvars, None
         while True:
             factor = self.parse_factor()
             if isinstance(factor, Poly):
                 group = factor if group is None else group * factor
             else:
-                coeff *= factor[0]
-                for i, e in enumerate(factor[1]):
+                num *= factor[0]
+                den *= factor[1]
+                for i, e in enumerate(factor[2]):
                     exponents[i] += e
             if self.peek() != "*":
                 break
-            self.take()
+            self.advance(self.pos + 1)
+        coeff = Fraction(num, den)
         if group is None:
             _add_terms(total, ((tuple(exponents), coeff),))
         else:
             _add_product(total, {tuple(exponents): coeff}, group._terms)
 
-    def parse_factor(self) -> Poly | tuple[Fraction, list[int]]:
+    def parse_factor(self) -> Poly | tuple[int, int, list[int]]:
         base = self.parse_base()
-        if self.peek() == "^":
-            self.take()
-            exponent = self.parse_nat()
-            if isinstance(base, Poly):
-                return base**exponent
-            return base[0] ** exponent, [e * exponent for e in base[1]]
-        return base
+        if self.peek() != "^":
+            return base
+        self.advance(self.pos + 1)
+        exponent = self.parse_nat()
+        self.advance(self.pos)
+        if isinstance(base, Poly):
+            return base**exponent
+        num, den, exponents = base
+        return num**exponent, den**exponent, [e * exponent for e in exponents]
 
-    def parse_base(self) -> Poly | tuple[Fraction, list[int]]:
+    def parse_base(self) -> Poly | tuple[int, int, list[int]]:
         ch = self.peek()
         if ch == "(":
-            self.take()
+            self.advance(self.pos + 1)
             inner = self.parse_expr()
             if self.peek() != ")":
                 raise self.error("expected ')'")
-            self.take()
+            self.advance(self.pos + 1)
             return inner
         exponents = [0] * self.nvars
         if ch.isdigit():
-            return self.parse_rational(), exponents
+            numerator, denominator = self.parse_nat(), 1
+            self.advance(self.pos)
+            if self.peek() == "/":
+                self.advance(self.pos + 1)
+                denominator = self.parse_nat()
+                if denominator == 0:
+                    raise self.error("zero denominator")
+                self.advance(self.pos)
+            return numerator, denominator, exponents
         if ch.isalpha() or ch == "_":
-            name = self.parse_name()
+            text, end = self.text, self.pos + 1
+            while end < len(text) and (text[end].isalnum() or text[end] == "_"):
+                end += 1
+            name = text[self.pos:end]
             if name in VAR_NAMES:
                 index = VAR_NAMES.index(name)
                 if index >= self.nvars:
-                    self.pos -= len(name)
                     raise self.error(
                         f"variable {name!r} not available with {self.nvars} variables"
                     )
                 exponents[index] = 1
-                return Fraction(1), exponents
-            if name in self.parameters:
-                return Fraction(self.parameters[name]), exponents
-            self.pos -= len(name)
-            raise self.error(f"unknown parameter {name!r}")
+                numerator = denominator = 1
+            elif name in self.parameters:
+                value = Fraction(self.parameters[name])
+                numerator, denominator = value.numerator, value.denominator
+            else:
+                raise self.error(f"unknown parameter {name!r}")
+            self.advance(end)
+            return numerator, denominator, exponents
         if ch == "":
             raise self.error("unexpected end of input")
         raise self.error(f"unexpected character {ch!r}")
 
     def parse_nat(self) -> int:
-        self.skip_space()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
+        """The digits at ``pos``; leaves ``pos`` at their end."""
+        text, start = self.text, self.pos
+        end = start
+        while end < len(text) and text[end].isdigit():
+            end += 1
+        if start == end:
             raise self.error("expected an exponent")
-        return int(self.text[start : self.pos])
-
-    def parse_rational(self) -> Fraction:
-        numerator = self.parse_nat()
-        save = self.pos
-        self.skip_space()
-        if self.pos < len(self.text) and self.text[self.pos] == "/":
-            self.pos += 1
-            denominator = self.parse_nat()
-            if denominator == 0:
-                raise self.error("zero denominator")
-            return Fraction(numerator, denominator)
-        self.pos = save
-        return Fraction(numerator)
-
-    def parse_name(self) -> str:
-        self.skip_space()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        return self.text[start : self.pos]
+        self.pos = end
+        return int(text[start:end])
 
 
 def parse_poly(
@@ -650,12 +656,18 @@ def _coprime_mod_p(a: Poly, b: Poly) -> bool:
 
 
 def dehomogenize(p: Poly, axis: int) -> Poly:
-    """Set variable ``axis`` to 1, returning a polynomial in the others."""
+    """Set variable ``axis`` to 1, returning a polynomial in the others.
+
+    On homogeneous input no two monomials meet, so the term map is built
+    directly; only inhomogeneous input, where they can, adds coefficients.
+    """
     if p.nvars != 3:
         raise ValueError("dehomogenize expects a 3-variable polynomial")
-    keep = [i for i in range(3) if i != axis]
-    pairs = (((m[keep[0]], m[keep[1]]), c) for m, c in p.items())
-    return Poly._trusted(2, _add_terms({}, pairs))
+    i, j = [k for k in range(3) if k != axis]
+    terms = {(m[i], m[j]): c for m, c in p._terms.items()}
+    if len(terms) < len(p._terms):
+        terms = _add_terms({}, (((m[i], m[j]), c) for m, c in p._terms.items()))
+    return Poly._trusted(2, terms)
 
 
 # -- resultants and gcds over Z[x] and Z[x][y] -----------------------------

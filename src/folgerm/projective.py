@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .blowup import _section_in_y, horner, rational_roots
 from .germs import (
@@ -106,6 +107,21 @@ class ProjectiveFoliation:
         if common.total_degree() > 0:
             raise ValueError(f"coefficients share the common factor {common}")
         object.__setattr__(self, "degree", degrees.pop() - 1)
+
+    @cached_property
+    def _charts(self) -> tuple[tuple[Poly, Poly], ...]:
+        """The chart pair of each affine chart, indexed by its unit axis.
+
+        The chart x_k = 1 drops dx_k and keeps the other two coefficients:
+        (B, C) at x = 1, (A, C) at y = 1 and (A, B) at z = 1.  Built once per
+        form, for ``singular_points`` and every ``chart_germ``.
+        """
+        A, B, C = self.A, self.B, self.C
+        return (
+            (dehomogenize(B, 0), dehomogenize(C, 0)),
+            (dehomogenize(A, 1), dehomogenize(C, 1)),
+            (dehomogenize(A, 2), dehomogenize(B, 2)),
+        )
 
     def __str__(self) -> str:
         return f"({self.A}) dx + ({self.B}) dy + ({self.C}) dz"
@@ -217,9 +233,7 @@ def singular_points(form: ProjectiveFoliation) -> list[ProjectivePoint]:
     homogenization then divides A, B and C, so h is constant.
     """
     points = []
-    affine_a = dehomogenize(form.A, 2)
-    affine_b = dehomogenize(form.B, 2)
-    for x0, y0 in _affine_common_zeros(affine_a, affine_b):
+    for x0, y0 in _affine_common_zeros(*form._charts[2]):
         points.append(ProjectivePoint.of(x0, y0, 1))
     line_a = _restrict_to_infinity(form.A)
     line_c = _restrict_to_infinity(form.C)
@@ -235,20 +249,19 @@ def chart_germ(form: ProjectiveFoliation, point: ProjectivePoint) -> FoliationGe
     """Local 1-form germ at the point, in its affine chart coordinates.
 
     Restricting to the chart kills the differential of the chart variable;
-    the two surviving coefficients are dehomogenized and translated so the
-    point sits at the origin.
+    the form's chart pair there is translated so the point sits at the
+    origin.  The pair is coprime because the form is (the proof is in
+    ``FoliationGerm._of_coprime_chart_pair``), so no gcd runs.
     """
     x0, y0, z0 = point.coords
     if z0:
-        p = dehomogenize(form.A, 2).shift((x0, y0))
-        q = dehomogenize(form.B, 2).shift((x0, y0))
+        axis, offsets = 2, (x0, y0)
     elif y0:
-        p = dehomogenize(form.A, 1).shift((x0, 0))
-        q = dehomogenize(form.C, 1).shift((x0, 0))
+        axis, offsets = 1, (x0, 0)
     else:
-        p = dehomogenize(form.B, 0)
-        q = dehomogenize(form.C, 0)
-    return FoliationGerm(p, q)
+        axis, offsets = 0, ()
+    p, q = form._charts[axis]
+    return FoliationGerm._of_coprime_chart_pair(p.shift(offsets), q.shift(offsets))
 
 
 def chart_curve(curve: Poly, point: ProjectivePoint) -> CurveGerm:

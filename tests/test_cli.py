@@ -395,6 +395,17 @@ class TestExitCodes:
         assert code == 2
         assert "cannot read" in err
 
+    def test_unwritable_out_is_an_input_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "r.txt"
+        code, out, err = run(
+            capsys, "invariants", FIXTURES / "cusp.fol", "--out", target
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not target.parent.exists()
+
     def test_bad_param(self, capsys):
         code, _, err = run(
             capsys, "check-bs", FIXTURES / "radial.fol", "--param", "lambda"

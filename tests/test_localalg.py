@@ -3,6 +3,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_nonzero_poly, sympy_expr
 from folgerm import localalg
@@ -151,14 +153,14 @@ class TestStandardBasis:
 class TestTruncationFloor:
     def test_independent_linear_parts_certify_at_one(self):
         gens = [P("2*x - y + x*y^3"), P("x + y^2")]
-        assert localalg._first_truncation(gens) == 2
+        assert localalg._first_truncation(localalg._integer_generators(gens)[1]) == 2
         sb = standard_basis(gens)
         assert sb.truncation == 1
         assert sb.quotient_dim() == 1
 
     def test_growth_from_two(self):
         gens = [P("y"), P("y + x^5")]
-        assert localalg._first_truncation(gens) == 2
+        assert localalg._first_truncation(localalg._integer_generators(gens)[1]) == 2
         sb = standard_basis(gens)
         assert sb.quotient_dim() == 5
         assert sb.truncation == 5
@@ -285,6 +287,48 @@ class TestMacaulayOracle:
                 continue
             assert stabilized_macaulay_dim([f, g]) == dim
             checked += 1
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6))
+
+
+def _local_polys(min_order, max_degree):
+    """Nonzero polynomials in x, y with rational coefficients, of bounded order and degree."""
+    monomials = [
+        (i, d - i) for d in range(min_order, max_degree + 1) for i in range(d + 1)
+    ]
+    terms = st.dictionaries(st.sampled_from(monomials), _RATIONALS, min_size=1, max_size=6)
+    return terms.map(lambda t: Poly(2, t))
+
+
+class TestIntegerGenerators:
+    """The Macaulay rows see each generator as its primitive integer term map."""
+
+    def test_term_map_is_the_primitive_part(self):
+        g = P("-3/4*x^2 + 9/2*x*y - 3/8*y^3")
+        nvars, (terms,) = localalg._integer_generators([g, Poly.zero(2)])
+        assert nvars == 2
+        assert terms == {(2, 0): -2, (1, 1): 12, (0, 3): -1}
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(
+        st.lists(_local_polys(1, 4), min_size=1, max_size=3),
+        st.booleans(),
+        st.lists(_RATIONALS, min_size=5, max_size=5),
+        _local_polys(0, 6),
+    )
+    def test_scaled_generators_give_the_same_quotient(self, gens, bounded, scales, probe):
+        # a nonzero rational scale, negative leads and denominators included,
+        # changes neither the staircase nor the coordinates of a class
+        if bounded:
+            # initial forms x^3 and y^3: the quotient is finite
+            gens = gens + [P("-2/5*x^3 + 7/3*x^2*y^2"), P("3/4*y^3 - 5*x^4*y")]
+        plain = standard_basis(gens)
+        scaled = standard_basis([g * c for g, c in zip(gens, scales)])
+        assert scaled.truncation == plain.truncation
+        assert scaled.quotient_basis == plain.quotient_basis
+        if plain.quotient_basis is not None:
+            assert scaled.reduce_to_coordinates(probe) == plain.reduce_to_coordinates(probe)
 
 
 class TestSympyReference:

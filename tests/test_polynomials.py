@@ -47,27 +47,31 @@ def _expression_trees(nvars):
     ), max_leaves=8)
 
 
-def _render(tree, level="expr"):
-    """Text of a tree in the parser's grammar; a group only where it must be."""
+def _render(tree, level="expr", pad=lambda: ""):
+    """Text of a tree in the parser's grammar; a group only where it must be.
+
+    ``pad()`` gives the blanks put between tokens.
+    """
     kind = tree[0]
     if level == "expr" and kind == "add":
-        text = "-" if tree[1][0][0] < 0 else ""
+        text = pad() + ("-" + pad() if tree[1][0][0] < 0 else "")
         for i, (sign, child) in enumerate(tree[1]):
             if i:
-                text += " - " if sign < 0 else " + "
-            text += _render(child, "term")
-        return text
+                text += pad() + ("-" if sign < 0 else "+") + pad()
+            text += _render(child, "term", pad)
+        return text + pad()
     if level in ("expr", "term") and kind == "mul":
-        return "*".join(_render(child, "factor") for child in tree[1])
+        return (pad() + "*" + pad()).join(_render(child, "factor", pad) for child in tree[1])
     if level != "base" and kind == "pow":
-        return f"{_render(tree[1], 'base')}^{tree[2]}"
+        return f"{_render(tree[1], 'base', pad)}{pad()}^{pad()}{tree[2]}"
     if kind == "num":
-        return str(tree[1])
+        c = tree[1]
+        return str(c) if c.denominator == 1 else f"{c.numerator}{pad()}/{pad()}{c.denominator}"
     if kind == "var":
         return "xyz"[tree[1]]
     if kind == "lam":
         return "lam"
-    return f"({_render(tree)})"
+    return f"({pad()}{_render(tree, 'expr', pad)}{pad()})"
 
 
 def _evaluate(tree, nvars):
@@ -126,11 +130,19 @@ MALFORMED = [
 class TestParse:
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(st.sampled_from((2, 3)).flatmap(
-        lambda n: st.tuples(st.just(n), _expression_trees(n))))
-    def test_text_of_a_tree_parses_to_its_value(self, case):
+        lambda n: st.tuples(st.just(n), _expression_trees(n))),
+        st.randoms(use_true_random=False))
+    def test_text_of_a_tree_parses_to_its_value(self, case, rng):
         nvars, tree = case
+        value = _evaluate(tree, nvars)
         text = _render(tree)
-        assert parse_poly(text, nvars, {"lam": LAMBDA}) == _evaluate(tree, nvars), text
+        assert parse_poly(text, nvars, {"lam": LAMBDA}) == value, text
+
+        def pad():
+            return "".join(rng.choice(" \t") for _ in range(rng.choice((0, 0, 1, 2, 3))))
+
+        spaced = _render(tree, pad=pad)
+        assert parse_poly(spaced, nvars, {"lam": LAMBDA}) == value, spaced
 
     @pytest.mark.parametrize("text, nvars, message, column", MALFORMED)
     def test_malformed_input_message_and_column(self, text, nvars, message, column):

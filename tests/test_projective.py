@@ -249,6 +249,65 @@ class TestChartGerms:
         assert checked >= 30
 
 
+def _homogeneous(draw, degree):
+    """A homogeneous polynomial of the given degree with small integer coefficients."""
+    monomials = [(i, j, degree - i - j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+    terms = draw(st.dictionaries(
+        st.sampled_from(monomials), st.integers(-4, 4).filter(bool), min_size=1, max_size=5
+    ))
+    return Poly(3, terms)
+
+
+@st.composite
+def _valid_forms(draw):
+    """Coefficient triples of projective foliations, of three kinds.
+
+    omega_F-type forms (y F_z - z F_y, z F_x - x F_z, x F_y - y F_x) of a
+    random F, logarithmic forms of seeded line arrangements, and random
+    Euler-consistent triples (y R - z Q, z P - x R, x Q - y P).  Triples
+    with a common factor are no foliation and are drawn again.
+    """
+    kind = draw(st.sampled_from(("omega_F", "lines", "euler")))
+    if kind == "lines":
+        (a, b, c), _ = log_form(*seeded_arrangement(
+            draw(st.integers(3, 6)), draw(st.integers(0, 10**6))
+        ))
+    else:
+        x, y, z = H("x"), H("y"), H("z")
+        if kind == "omega_F":
+            F = _homogeneous(draw, draw(st.integers(2, 4)))
+            p, q, r = (F.diff(i) for i in range(3))
+        else:
+            degree = draw(st.integers(1, 3))
+            p, q, r = (_homogeneous(draw, degree) for _ in range(3))
+        a, b, c = y * r - z * q, z * p - x * r, x * q - y * p
+    try:
+        return validate_form(a, b, c)
+    except ValueError:
+        assume(False)
+
+
+class TestChartCoprimality:
+    """``chart_germ`` runs no gcd: the form's coprimality must carry over."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(_valid_forms(), st.lists(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 2)),
+        min_size=3, max_size=3,
+    ))
+    def test_chart_pair_is_coprime_at_every_point(self, form, extra):
+        points = singular_points(form)
+        located = set(points)
+        for u, v, chart in extra:
+            point = ProjectivePoint.of(*((1, u, v), (u, 1, 0), (u, v, 1))[chart])
+            if point not in located:
+                points.append(point)
+        for point in points:
+            germ = chart_germ(form, point)
+            assert germ.is_singular == (point in located), point
+            assert poly_gcd(germ.P, germ.Q).total_degree() <= 0, point
+
+
 class TestInvariance:
     def test_log_family_axes(self):
         form = validate_form(*omega(2))
