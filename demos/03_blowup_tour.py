@@ -44,15 +44,15 @@ for sing in result.singularities:
     ratio = "" if sing.ratio is None else "  (ratio %s)" % sing.ratio
     print("    on %-6s %s%s" % (where, sing.kind, ratio))
 
-print("\nsaddle-nodes present:      ", result.has_saddle_node)
-print("weak separatrix in divisor:", result.has_tangent_saddle_node)
+print("\nsaddle-nodes present:      ", not result.generalized_curve)
+print("weak separatrix in divisor:", not result.second_type)
 print("generalized curve:         ", result.generalized_curve)
 print("second type:               ", result.second_type)
 print("dicritical budgets:        ", dicritical_report(result))
 
 # --- cross-check against the multiplicity criterion --------------------
 divisor = BalancedEquation(CurveGerm(P("y^2-x^3")))
-report = check_second_type(germ, divisor, mode="both")
+report = check_second_type(germ, divisor)
 print("\n[check-second-type] verdict:", report.verdict)
 for key, value in report.data.items():
     print("    %-22s %s" % (key, value))

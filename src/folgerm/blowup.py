@@ -348,22 +348,14 @@ class ReductionResult:
         return any(c.dicritical for c in self.components)
 
     @property
-    def has_saddle_node(self) -> bool:
-        return any(s.kind == "saddle_node" for s in self.singularities)
-
-    @property
-    def has_tangent_saddle_node(self) -> bool:
-        return any(s.weak_along_divisor for s in self.singularities)
-
-    @property
     def generalized_curve(self) -> bool:
         """No saddle-nodes at all appear in the reduction."""
-        return not self.has_saddle_node
+        return not any(s.kind == "saddle_node" for s in self.singularities)
 
     @property
     def second_type(self) -> bool:
         """No saddle-node has its weak separatrix inside the divisor."""
-        return not self.has_tangent_saddle_node
+        return not any(s.weak_along_divisor for s in self.singularities)
 
 
 class _Reduction:
@@ -459,7 +451,12 @@ class _Reduction:
 
 
 def reduce_germ(germ, max_blowups: int = MAX_BLOWUPS_DEFAULT) -> ReductionResult:
-    """Resolve the germ by blow-ups until every point is in final position."""
+    """Resolve the germ by blow-ups until every point is in final position.
+
+    A negative budget is an input error, not a verdict.
+    """
+    if max_blowups < 0:
+        raise ValueError(f"the blow-up budget must be at least 0, got {max_blowups}")
     require_isolated(germ)
     driver = _Reduction(max_blowups)
     driver.process(germ.P, germ.Q, ())

@@ -87,16 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("check-bs", "membership of the squared zero divisor in the germ ideal")
     add("check-liu", "tau <= mu <= 2*tau sandwich for second-type germs")
     add("check-cota", "balanced-divisor lower bound for mu and 2*tau")
-    second = add("check-second-type", "absence of tangent saddle-nodes")
-    second.add_argument(
-        "--mode",
-        choices=("criterion", "reduction", "both"),
-        default="both",
-        help="decide by the multiplicity criterion, by reduction, or both",
-    )
-    add_blowups(second)
-    red = add("reduce", "reduction of singularities by point blow-ups")
-    add_blowups(red)
+    add_blowups(add("check-second-type", "absence of tangent saddle-nodes"))
+    add_blowups(add("reduce", "reduction of singularities by point blow-ups"))
     add("projective-validate", "Euler relation, degree, and singular points")
     add("projective-global", "global Tjurina bound for an invariant curve")
     return parser
@@ -217,7 +209,7 @@ def _dispatch(args, sections, overrides) -> CheckReport:
         if args.command == "check-cota":
             return check_cota(problem.germ, divisor)
         return check_second_type(
-            problem.germ, divisor, mode=args.mode, max_blowups=args.max_blowups
+            problem.germ, divisor, max_blowups=args.max_blowups
         )
     problem = load_projective_problem(sections, overrides)
     if args.command == "projective-validate":

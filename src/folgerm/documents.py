@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .germs import BalancedEquation, CurveGerm, FoliationGerm
-from .polynomials import Poly, parse_poly
+from .polynomials import VAR_NAMES, Poly, parse_poly
 from .projective import ProjectivePoint
 
 Sections = dict[str, dict[str, str]]
@@ -79,6 +79,11 @@ def render_document(sections: Mapping[str, Mapping[str, str]]) -> str:
 def read_parameters(
     sections: Sections, overrides: Mapping[str, Fraction] | None = None
 ) -> dict[str, Fraction]:
+    """The ``[parameters]`` section, updated by the overrides.
+
+    A name the polynomial parser cannot read as a parameter is an error,
+    not a silently unused value.
+    """
     params: dict[str, Fraction] = {}
     for key, value in sections.get("parameters", {}).items():
         try:
@@ -89,6 +94,16 @@ def read_parameters(
             ) from exc
     if overrides:
         params.update(overrides)
+    for name in params:
+        if name in VAR_NAMES:
+            raise DocumentError(f"parameter {name!r} is a variable name")
+        if not (name[:1].isalpha() or name[:1] == "_") or not all(
+            c.isalnum() or c == "_" for c in name[1:]
+        ):
+            raise DocumentError(
+                f"parameter {name!r} is not a name: a letter or '_', "
+                "then letters, digits or '_'"
+            )
     return params
 
 
@@ -147,7 +162,6 @@ def _parse_points(value: str) -> list[ProjectivePoint]:
 class LocalProblem:
     germ: FoliationGerm
     divisor: BalancedEquation | None
-    parameters: dict[str, Fraction]
 
 
 @dataclass(frozen=True)
@@ -155,7 +169,6 @@ class ProjectiveProblem:
     coefficients: tuple[Poly, Poly, Poly]
     curve: Poly | None
     points: list[ProjectivePoint] | None
-    parameters: dict[str, Fraction]
 
 
 def load_local_problem(
@@ -185,7 +198,7 @@ def load_local_problem(
             )
         except ValueError as exc:
             raise DocumentError(f"[divisor]: {exc}") from exc
-    return LocalProblem(germ, divisor, params)
+    return LocalProblem(germ, divisor)
 
 
 def load_projective_problem(
@@ -206,4 +219,4 @@ def load_projective_problem(
     raw_points = sections["projective"].get("points")
     if raw_points is not None:
         points = _parse_points(raw_points)
-    return ProjectiveProblem((a, b, c), curve, points, params)
+    return ProjectiveProblem((a, b, c), curve, points)

@@ -945,11 +945,11 @@ def intersection_at_origin(f: Poly, g: Poly) -> int | None:
     A coprime pair of degrees d, e misses the first condition for at most
     min(d, e) values of c (the roots of the top forms at (c, 1)) and the
     second for at most d*e (one per common zero off the origin, by Bezout),
-    so past d*e + max(d, e) values the loop raises.  A common factor shows
-    as a zero resultant, or as a failed second condition that the mod-p
-    coprimality certificate does not explain; only then does ``poly_gcd``
-    run.  A common factor through the origin makes the quotient infinite;
-    any other one is a unit there and is divided out.
+    so past d*e + max(d, e) values the loop raises.  A zero resultant or a
+    failed second condition runs ``poly_gcd``, whose mod-p certificate
+    settles a coprime pair in one pass; the loop then tries the next shear.
+    A common factor through the origin makes the quotient infinite; any
+    other one is a unit there and is divided out.
     """
     if f.nvars != 2 or g.nvars != 2:
         raise ValueError("intersection numbers need two variables")
@@ -974,8 +974,6 @@ def intersection_at_origin(f: Poly, g: Poly) -> int | None:
             res = _resultant(a, b)
             if res:
                 return next(i for i, v in enumerate(res) if v)
-        elif _coprime_mod_p(f, g):
-            continue
         common = poly_gcd(f, g)
         if common.total_degree() == 0:
             continue

@@ -17,7 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .blowup import BlowupLimitError, IrrationalSingularPointError, reduce_germ
+from .blowup import (
+    MAX_BLOWUPS_DEFAULT,
+    BlowupLimitError,
+    IrrationalSingularPointError,
+    reduce_germ,
+)
 from .germs import (
     BalancedEquation,
     FoliationGerm,
@@ -187,61 +192,39 @@ def check_cota(f: FoliationGerm, b: BalancedEquation) -> CheckReport:
 def check_second_type(
     f: FoliationGerm,
     b: BalancedEquation,
-    mode: str = "both",
-    max_blowups: int = 24,
+    max_blowups: int = MAX_BLOWUPS_DEFAULT,
 ) -> CheckReport:
-    """Decide second type by the multiplicity criterion, by reduction, or both.
+    """Decide second type by the multiplicity criterion, then by reduction.
 
-    The criterion route computes the tangency excess of the balanced
-    equation; the reduction route looks for saddle-nodes whose weak
-    separatrix sits inside the exceptional divisor.  When reduction aborts
-    on a singular point without rational coordinates, or runs out of
-    blow-ups, the check degrades to the criterion and says so.
+    The criterion computes the tangency excess of the balanced equation;
+    the reduction looks for saddle-nodes whose weak separatrix sits inside
+    the exceptional divisor.  When the two routes disagree the verdict is
+    "fail".  When reduction aborts on a singular point without rational
+    coordinates, or runs out of blow-ups, the verdict is the criterion's
+    and a note says so.
     """
-    if mode not in ("criterion", "reduction", "both"):
-        raise ValueError(f"unknown mode {mode!r}")
     require_isolated(f)
-    data: dict = {}
+    xi = tangency_excess(f, b)
+    second = xi == 0
+    data: dict = {"xi": xi, "criterion": second}
     notes: list[str] = []
-    answers = []
-
-    def criterion() -> None:
-        xi = tangency_excess(f, b)
-        data["xi"] = xi
-        data["criterion"] = xi == 0
-        answers.append(xi == 0)
-
-    if mode in ("criterion", "both"):
-        criterion()
-    if mode in ("reduction", "both"):
-        try:
-            result = reduce_germ(f, max_blowups=max_blowups)
-        except (IrrationalSingularPointError, BlowupLimitError) as err:
-            if isinstance(err, BlowupLimitError):
-                reason = f"reduction stopped: {err}"
-            else:
-                reason = (
-                    "reduction aborted on a singular point without rational "
-                    f"coordinates (residual {err.residual})"
-                )
-            notes.append(f"{reason}; falling back to the multiplicity criterion")
-            if mode == "reduction":
-                criterion()
-        else:
-            data["blowups"] = result.blowups
-            data["tangent_saddle_nodes"] = sum(
-                1 for s in result.singularities if s.weak_along_divisor
-            )
-            data["reduction"] = result.second_type
-            answers.append(result.second_type)
-    if len(answers) == 2 and answers[0] != answers[1]:
-        notes.append("criterion and reduction disagree")
-        return CheckReport(
-            name="check-second-type", verdict=FAIL, data=data, notes=notes
+    fallback = "falling back to the multiplicity criterion"
+    try:
+        result = reduce_germ(f, max_blowups=max_blowups)
+    except BlowupLimitError as err:
+        notes.append(f"reduction stopped: {err}; {fallback}")
+    except IrrationalSingularPointError as err:
+        notes.append(
+            "reduction aborted on a singular point without rational "
+            f"coordinates (residual {err.residual}); {fallback}"
         )
-    return CheckReport(
-        name="check-second-type",
-        verdict=_verdict(answers[0]),
-        data=data,
-        notes=notes,
-    )
+    else:
+        data["blowups"] = result.blowups
+        data["tangent_saddle_nodes"] = sum(
+            1 for s in result.singularities if s.weak_along_divisor
+        )
+        data["reduction"] = result.second_type
+        if result.second_type != second:
+            notes.append("criterion and reduction disagree")
+            second = False
+    return CheckReport("check-second-type", _verdict(second), data, notes)

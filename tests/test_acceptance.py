@@ -130,7 +130,7 @@ def test_criterion_1_radial_worked_example(capsys):
         assert cota.verdict == PASS
         assert cota.data["lhs"] == cota.data["mu"] == 1
         assert cota.data["equality_expected"] is True
-        second = check_second_type(f, b, mode="both")
+        second = check_second_type(f, b)
         assert second.verdict == PASS
         assert second.data["criterion"] is True
         assert second.data["reduction"] is True
@@ -233,7 +233,7 @@ def test_criterion_7_cusp_reduction(capsys):
         assert all(s.kind == "nondegenerate" for s in result.singularities)
         assert result.second_type
         assert result.generalized_curve
-        report = check_second_type(f, b, mode="both")
+        report = check_second_type(f, b)
         assert report.verdict == PASS
         assert report.data["criterion"] is True
         assert report.data["reduction"] is True

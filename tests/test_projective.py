@@ -9,8 +9,22 @@ from hypothesis import strategies as st
 
 from folgerm import blowup, polynomials, projective
 from folgerm.cli import main
-from folgerm.germs import FoliationGerm, multiplicity, milnor_foliation
-from folgerm.polynomials import Poly, dehomogenize, parse_poly, poly_gcd
+from folgerm.germs import (
+    BalancedEquation,
+    FoliationGerm,
+    milnor_foliation,
+    multiplicity,
+    tangency_excess,
+    validate_balanced,
+)
+from folgerm.polynomials import (
+    Poly,
+    dehomogenize,
+    is_squarefree,
+    parse_poly,
+    poly_gcd,
+    try_exact_div,
+)
 from folgerm.projective import (
     EulerRelationError,
     ProjectiveFoliation,
@@ -530,6 +544,70 @@ class TestArrangements:
             for second in lines[i + 1:]:
                 assert str(ProjectivePoint.of(*line_meet(first, second))) in listed
         assert elapsed < 5.0
+
+
+@st.composite
+def _forms_with_curves(draw):
+    """A projective foliation with a reduced invariant curve, of two kinds.
+
+    Logarithmic forms of seeded line arrangements, with the product of the
+    lines as curve; and logarithmic forms F_1...F_k sum(l_i dF_i / F_i) of
+    random lines and conics, sum(l_i deg F_i) = 0 for the Euler relation,
+    with F_1...F_k as curve.  Each F_i is invariant.
+    """
+    if draw(st.booleans()):
+        (a, b, c), curve = log_form(*seeded_arrangement(
+            draw(st.integers(3, 6)), draw(st.integers(0, 10**6))
+        ))
+    else:
+        degrees = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
+        factors = [_homogeneous(draw, d) for d in degrees]
+        residues = [draw(st.integers(-3, 3).filter(bool)) for _ in degrees[1:]]
+        balance = sum(l * d for l, d in zip(residues, degrees[1:]))
+        assume(balance)
+        residues.insert(0, Fraction(-balance, degrees[0]))
+        curve = H("1")
+        for f in factors:
+            curve = curve * f
+        assume(is_squarefree(curve))
+        a, b, c = (
+            sum(
+                (l * f.diff(k) * try_exact_div(curve, f)
+                 for l, f in zip(residues, factors)),
+                H("0"),
+            )
+            for k in range(3)
+        )
+    try:
+        return validate_form(a, b, c), curve
+    except ValueError:
+        assume(False)
+
+
+class TestGlobalCurveCheck:
+    """``check_global_bound`` checks the curve once, not at every point.
+
+    A reduced invariant curve must give, at every singular point on it, a
+    chart curve germ that passes ``validate_balanced`` against the chart
+    germ, so the bare tangency-excess formula is the checked one.
+    """
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(_forms_with_curves())
+    def test_chart_curve_is_balanced_at_every_point(self, drawn):
+        form, curve = drawn
+        assert is_squarefree(curve) and is_invariant_curve(form, curve)
+        xis = {}
+        for point in singular_points(form):
+            if curve.evaluate(point.coords) != 0:
+                continue
+            germ, local = chart_germ(form, point), chart_curve(curve, point)
+            validate_balanced(germ, BalancedEquation(local))
+            xis[str(point)] = tangency_excess(germ, BalancedEquation(local))
+            assert xis[str(point)] == multiplicity(germ) - local.order + 1, point
+        report = check_global_bound(form, curve)
+        for row in report.data.get("points", []):
+            assert row.get("xi") == xis.get(row["point"]), row
 
 
 def _line_through(point, direction):

@@ -228,7 +228,7 @@ class TestCota:
 
 class TestSecondType:
     def test_cusp_both_routes(self):
-        report = check_second_type(cusp(), CUSP_B, mode="both")
+        report = check_second_type(cusp(), CUSP_B)
         assert report.verdict == PASS
         assert report.data["xi"] == 0
         assert report.data["criterion"]
@@ -237,15 +237,17 @@ class TestSecondType:
         assert report.data["tangent_saddle_nodes"] == 0
 
     def test_fk5_criterion(self):
-        report = check_second_type(fk(5), FK_B, mode="criterion")
+        report = check_second_type(fk(5), FK_B)
         assert report.verdict == FAIL
         assert report.data["xi"] == 4
-        assert "reduction" not in report.data
+        assert report.data["criterion"] is False
+        assert report.data["reduction"] is False
+        assert report.notes == []
 
     def test_tangent_saddle_node_germ(self):
         germ = FoliationGerm(P("-x - y"), P("x"))
         b = BalancedEquation(CurveGerm(P("x")))
-        report = check_second_type(germ, b, mode="both")
+        report = check_second_type(germ, b)
         assert report.verdict == FAIL
         assert report.data["xi"] == 1
         assert not report.data["reduction"]
@@ -254,24 +256,22 @@ class TestSecondType:
     def test_irrational_degrades_to_criterion(self):
         germ = FoliationGerm(P("y^2 - 4*x^2"), P("x*y"))
         b = BalancedEquation(CurveGerm(P("x")))
-        report = check_second_type(germ, b, mode="both")
+        report = check_second_type(germ, b)
         assert report.verdict == FAIL
         assert report.data["xi"] == 2
         assert "reduction" not in report.data
         assert any("falling back" in n for n in report.notes)
 
-    def test_reduction_mode_also_degrades(self):
-        germ = FoliationGerm(P("y^2 - 4*x^2"), P("x*y"))
-        b = BalancedEquation(CurveGerm(P("x")))
-        report = check_second_type(germ, b, mode="reduction")
-        assert report.verdict == FAIL
-        assert report.data["criterion"] is False
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            check_second_type(cusp(), CUSP_B, mode="fast")
+    def test_stopped_reduction_degrades_to_criterion(self):
+        report = check_second_type(cusp(), CUSP_B, max_blowups=0)
+        assert report.verdict == PASS
+        assert "reduction" not in report.data
+        assert report.notes == [
+            "reduction stopped: not reduced after 0 blow-ups; "
+            "falling back to the multiplicity criterion"
+        ]
 
     def test_hamiltonian_corpus_is_second_type(self):
         for germ, b in hamiltonian_corpus(99, 6):
-            report = check_second_type(germ, b, mode="criterion")
+            report = check_second_type(germ, b)
             assert report.verdict == PASS, str(b.zero)
