@@ -29,7 +29,6 @@ from .germs import (
     generic_polar,
     gsv_index,
     intersection_multiplicity,
-    is_second_type,
     is_semihomogeneous,
     milnor_curve,
     milnor_foliation,
@@ -92,7 +91,6 @@ __all__ = [
     "generic_polar",
     "gsv_index",
     "intersection_multiplicity",
-    "is_second_type",
     "is_semihomogeneous",
     "load_local_problem",
     "load_projective_problem",

@@ -468,15 +468,6 @@ def reduce_germ(germ, max_blowups: int = MAX_BLOWUPS_DEFAULT) -> ReductionResult
     )
 
 
-def h1_dimension(germ) -> int:
-    """Dimension ``n(n-1)/2`` with ``n = nu - epsilon - 1`` after one blow-up."""
-    data = blow_up(germ.P, germ.Q)
-    n = data.nu - data.epsilon - 1
-    if n <= 1:
-        return 0
-    return n * (n - 1) // 2
-
-
 def dicritical_report(result: ReductionResult) -> list[dict]:
     """Valence and remaining contact budget of each dicritical component."""
     rows = []

@@ -216,9 +216,9 @@ def _dispatch(args, sections, overrides) -> CheckReport:
         return check_form(
             *problem.coefficients, curve=problem.curve, points=problem.points
         )
-    form = validate_form(*problem.coefficients)
     if problem.curve is None:
         raise DocumentError("projective-global needs a curve key")
+    form = validate_form(*problem.coefficients)
     return check_global_bound(form, problem.curve, problem.points)
 
 

@@ -17,11 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence
 
 from .localalg import EngineInconsistencyError, StandardBasis, standard_basis
 from .polynomials import (
     Poly,
+    _integer_terms,
     divides_wedge,
     intersection_at_origin,
     is_squarefree,
@@ -261,47 +263,94 @@ class PolarCertificate:
     intersections: tuple[int, ...]  # i(polar, c) for each curve c in ``against``
 
 
+def _cancelling_probe(P: Poly, Q: Poly) -> tuple[int, int] | None:
+    """The probe (a, b) with a*P_k + b*Q_k = 0 for leading forms of one order k."""
+    if P.order() != Q.order():
+        return None
+    p, q = P.lowest_form().terms, Q.lowest_form().terms
+    if p.keys() != q.keys():
+        return None
+    m = next(iter(p))
+    t = -p[m] / q[m]
+    if t <= 0 or any(p[n] + t * q[n] for n in p):
+        return None
+    return (t.denominator, t.numerator)
+
+
 def generic_polar(
     f: FoliationGerm, against: Sequence[CurveGerm] = ()
 ) -> PolarCertificate:
-    """The first polar a*P + b*Q of ``probe_pencil(K)``, K = sum nu(c) + 3.
+    """The first polar a*P + b*Q of ``probe_pencil(K)`` at the generic score.
 
-    A probe scores (ord(a*P + b*Q), i(a*P + b*Q, c) for c in ``against``);
-    one whose local quotient by some c is infinite is scored out.  The
-    lowest score is the generic one, and at least two probes attain it.
+    K = sum nu(c) + 3, and every curve c in ``against`` must be invariant.
+    A probe scores (ord(a*P + b*Q), i(a*P + b*Q, c) for c in ``against``).
+    It is special when a*P_k + b*Q_k = 0 for leading forms of one order k,
+    or when c_low(a, b) = 0 for the lowest form c_low of some c (a tangent
+    direction of c).  The first two probes that are not special are scored;
+    both attain the generic score, the lexicographic minimum, and the first
+    is returned, as the first probe of the pencil at the lowest score.
 
-    Proof.  Write t = b/a; distinct probes have distinct t.  P and Q are
-    nonzero, so ord(P + tQ) = min(ord P, ord Q) unless t cancels both
-    leading forms, which one t at most does.  Let g(s) parametrize a branch
-    of a curve c.  P(g(s)) and Q(g(s)) do not both vanish, since the
-    singularity is isolated, so ord_s (P + tQ)(g(s)) is the smaller of their
-    orders unless t cancels both leading coefficients, again one t at most.
-    c has at most nu(c) branches, so at most 1 + sum nu(c) probes are
-    special, and each coordinate of a special score is at least its generic
-    value.  The other K - 1 - sum nu(c) >= 2 probes all attain the generic
-    score, which is finite and therefore the lexicographic minimum.
+    Proof.  Write t = b/a > 0; distinct probes have distinct t.  P and Q are
+    nonzero, so ord(P + tQ) = min(ord P, ord Q) unless ord P = ord Q = k and
+    P_k + tQ_k = 0, which one t at most does, and then the order is larger.
+    Let g(s) = (x(s), y(s)) parametrize a branch of c.  Invariance reads
+    x'P(g) + y'Q(g) = 0.  If x(s) = 0, it gives Q(g) = 0, so (P + tQ)(g) =
+    P(g) is the same for every t, and no probe is tangent to the axis x = 0.
+    Otherwise x'(P + tQ)(g) = Q(g)(tx' - y'), where Q(g) != 0, since with
+    it P(g) would vanish too and the singularity is isolated.  The order of
+    tx' - y' is min(ord x', ord y') unless ord x = ord y and t cancels the
+    leading coefficients, that is unless (a, b) is the tangent direction of
+    the branch; then it is larger, perhaps infinite.  The tangent directions
+    of the branches of c are the roots of c_low, so, summed over the
+    branches, i(P + tQ, c) takes its generic value unless c_low(a, b) = 0,
+    and then it is larger.  So every probe that is not special attains the
+    generic score, which is finite, and a special probe scores above it in
+    one coordinate and below it in none.  c_low has at most nu(c) roots in
+    the projective line, so at most 1 + sum nu(c) probes are special and at
+    least two of K are not.
     """
     if not f.is_singular:
         raise ValueError("the germ is regular: no polar passes through the origin")
     require_isolated(f)
+    for c in against:
+        if not invariance_test(f, c):
+            raise InvalidBalancedEquationError(f"curve {c.poly} is not invariant")
     count = sum(c.order for c in against) + 3
+    cancelling = _cancelling_probe(f.P, f.Q)
+    cones = [_integer_terms(c.poly.lowest_form()) for c in against]
+
+    def special(probe: tuple[int, int]) -> bool:
+        a, b = probe
+        return probe == cancelling or any(
+            sum(v * a**i * b**j for (i, j), v in cone.items()) == 0
+            for cone in cones
+        )
+
+    generic = list(islice(filter(lambda p: not special(p), probe_pencil(count)), 2))
+    if len(generic) < 2:
+        raise EngineInconsistencyError(
+            f"fewer than two of {count} probes attain the lowest polar score"
+        )
     scored = []
-    for a, b in probe_pencil(count):
+    for a, b in generic:
         candidate = f.P * a + f.Q * b
         try:
             intersections = tuple(
                 intersection_multiplicity(candidate, c.poly) for c in against
             )
         except NonIsolatedSingularityError:
-            continue
-        scored.append(((candidate.order(),) + intersections, (a, b), candidate))
-    best = min(scored, key=lambda row: row[0], default=None)
-    if best is None or sum(1 for row in scored if row[0] == best[0]) < 2:
+            raise EngineInconsistencyError(
+                f"the probe {(a, b)} is not special but meets a scored curve"
+                " in a common branch"
+            ) from None
+        scored.append(((candidate.order(),) + intersections, candidate))
+    (score, candidate), (other, _) = scored
+    if score != other:
         raise EngineInconsistencyError(
-            f"fewer than two of {count} probes attain the lowest polar score"
+            f"the probes {generic[0]} and {generic[1]} are not special but score"
+            f" {score} and {other}"
         )
-    score, probe, candidate = best
-    return PolarCertificate(CurveGerm(candidate), probe, score[1:])
+    return PolarCertificate(CurveGerm(candidate), generic[0], score[1:])
 
 
 def tangency_excess(f: FoliationGerm, b: BalancedEquation) -> int:
@@ -311,10 +360,6 @@ def tangency_excess(f: FoliationGerm, b: BalancedEquation) -> int:
     """
     validate_balanced(f, b)
     return multiplicity(f) - b.signed_multiplicity + 1
-
-
-def is_second_type(f: FoliationGerm, b: BalancedEquation) -> bool:
-    return tangency_excess(f, b) == 0
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from folgerm.blowup import blow_up
+from folgerm.germs import tangency_excess
 from folgerm.polynomials import Poly
 
 
@@ -55,3 +57,17 @@ def sympy_expr(p: Poly, symbols):
         * sympy.Mul(*(s**e for s, e in zip(symbols, m)))
         for m, c in p.items()
     ))
+
+
+def is_second_type(f, b) -> bool:
+    """Whether the tangency excess xi of the germ against the divisor vanishes."""
+    return tangency_excess(f, b) == 0
+
+
+def h1_dimension(germ) -> int:
+    """Dimension ``n(n-1)/2`` with ``n = nu - epsilon - 1`` after one blow-up."""
+    data = blow_up(germ.P, germ.Q)
+    n = data.nu - data.epsilon - 1
+    if n <= 1:
+        return 0
+    return n * (n - 1) // 2

@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import random_nonzero_poly
+from conftest import is_second_type, random_nonzero_poly
 from folgerm.blowup import reduce_germ
 from folgerm.germs import (
     BalancedEquation,
@@ -19,7 +19,6 @@ from folgerm.germs import (
     FoliationGerm,
     generic_polar,
     intersection_multiplicity,
-    is_second_type,
     is_semihomogeneous,
     milnor_curve,
     milnor_foliation,

@@ -11,14 +11,13 @@ from folgerm.blowup import (
     blow_up,
     classify_point,
     dicritical_report,
-    h1_dimension,
     rational_roots,
     reduce_germ,
 )
 from folgerm.germs import FoliationGerm
 from folgerm.polynomials import Poly, parse_poly
 
-from conftest import random_nonzero_poly, substitute, sympy_expr
+from conftest import h1_dimension, random_nonzero_poly, substitute, sympy_expr
 
 
 def P(text):

@@ -435,6 +435,24 @@ class TestExitCodes:
         assert code == 2
         assert "curve" in err
 
+    def test_global_needs_curve_before_the_form(self, capsys, tmp_path):
+        # x*yz + y*2xz + z*xy = 4xyz: the Euler relation fails, but the
+        # missing curve is the error reported.
+        doc = tmp_path / "badform.fol"
+        doc.write_text("[projective]\nA = y*z\nB = 2*x*z\nC = x*y\n")
+        code, out, err = run(capsys, "projective-global", doc)
+        assert (code, out, err) == (2, "", "error: projective-global needs a curve key\n")
+
+    def test_global_without_curve_skips_the_form(self, capsys, monkeypatch, tmp_path):
+        def refused(*args):
+            raise AssertionError("validate_form ran on a document without a curve")
+
+        monkeypatch.setattr(cli, "validate_form", refused)
+        doc = tmp_path / "nocurve.fol"
+        doc.write_text("[projective]\nA = y*z\nB = 2*x*z\nC = -3*x*y\n")
+        code, out, err = run(capsys, "projective-global", doc)
+        assert (code, out, err) == (2, "", "error: projective-global needs a curve key\n")
+
     @pytest.mark.parametrize(
         "curve, message",
         [
@@ -549,14 +567,14 @@ class TestDivisorInvariants:
     """``invariants`` and ``check-cota`` read one divisor block."""
 
     @pytest.mark.parametrize(
-        "fixture, calls", [("radial.fol", 14), ("cusp.fol", 5)]
+        "fixture, calls", [("radial.fol", 5), ("cusp.fol", 2)]
     )
     @pytest.mark.parametrize("command", ["invariants", "check-cota"])
     def test_intersection_calls(self, capsys, monkeypatch, fixture, calls, command):
-        # nu(zero) + nu(pole) + 3 probes (7 on radial, 5 on cusp) against zero
-        # (and pole), plus i(zero, pole) when there is a pole; the radial probe
-        # (1, 1) stops at its infinite i(x - y, zero).  The polar's own
-        # intersections come from its certificate.
+        # Two probes that are not special, against zero (and pole), plus
+        # i(zero, pole) when there is a pole.  The radial probe (1, 1), tangent
+        # to the branch x - y of zero, is special and never scored.  The
+        # polar's own intersections come from its certificate.
         original = germs.intersection_multiplicity
         seen = []
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_nonzero_poly
+from conftest import is_second_type, random_nonzero_poly
 from folgerm import germs, linalg, localalg
 from folgerm.germs import (
     BalancedEquation,
@@ -18,7 +18,6 @@ from folgerm.germs import (
     gsv_index,
     intersection_multiplicity,
     invariance_test,
-    is_second_type,
     is_semihomogeneous,
     milnor_curve,
     milnor_foliation,
@@ -249,33 +248,57 @@ def _small_polys(draw, min_order, max_degree, max_terms):
     return Poly(2, {m: Fraction(c) for m, c in terms.items()})
 
 
+def _tangent_cone_special(germ, probe, against):
+    """Whether the tangent-cone rule calls the probe special."""
+    a, b = probe
+    P, Q = germ.P, germ.Q
+    if P.order() == Q.order() and (P.lowest_form() * a + Q.lowest_form() * b).is_zero:
+        return True
+    return any(c.poly.lowest_form().evaluate((a, b)) == 0 for c in against)
+
+
 @st.composite
 def _polar_cases(draw):
-    """A germ and curves, often with one probe planted to be special.
+    """A logarithmic form and its zero and pole curves, often with planted probes.
 
-    The planted probe (a, b) makes a*P + b*Q a multiple of a factor of a
-    curve: a branch through the origin, or a unit factor 1 + y that a global
-    gcd would also see.
+    The form is sum_i lambda_i (prod_{j != i} f_j) df_i, so every f_i is
+    invariant.  A planted curve is the line b*x - a*y or the parabola
+    b*x - a*y + x^2 of a probe (a, b) of ``probe_pencil(6)``: tangent to it.
     """
-    branch = draw(_small_polys(1, 2, 3))
-    unit = draw(st.sampled_from([P("1"), P("1 + y")]))
-    curves = [CurveGerm(branch * unit)]
-    if draw(st.booleans()):
-        curves.append(CurveGerm(draw(_small_polys(1, 2, 2))))
-    Q = draw(_small_polys(1, 3, 4))
-    if draw(st.booleans()):
-        a, b = draw(st.sampled_from(probe_pencil(6)))
-        shared = draw(st.sampled_from([branch, unit]))
-        planted = shared * draw(_small_polys(1, 2, 3))
-        first = (planted - Q * b) * Fraction(1, a)
-    else:
-        first = draw(_small_polys(1, 3, 4))
-    assume(not first.is_zero)
+    curves = []
+    for _ in range(draw(st.integers(2, 3))):
+        if draw(st.booleans()):
+            a, b = draw(st.sampled_from(probe_pencil(6)))
+            curve = P(f"{b}*x - {a}*y") + draw(st.sampled_from([P("0"), P("x^2")]))
+        else:
+            curve = draw(_small_polys(1, 2, 3))
+        curves.append(curve)
+    lambdas = [draw(st.integers(-3, 3).filter(bool)) for _ in curves]
+    components = []
+    for var in (0, 1):
+        total = Poly.zero(2)
+        for i, (curve, lam) in enumerate(zip(curves, lambdas)):
+            term = curve.diff(var) * lam
+            for j, other in enumerate(curves):
+                if j != i:
+                    term = term * other
+            total = total + term
+        components.append(total)
     try:
-        germ = FoliationGerm(first, Q)
+        germ = FoliationGerm(*components)
+        germs.require_isolated(germ)
     except ValueError:
         assume(False)
-    return germ, curves
+    pole = draw(st.lists(st.booleans(), min_size=len(curves), max_size=len(curves)))
+    assume(not all(pole))
+    zero, poles = P("1"), P("1")
+    for curve, is_pole in zip(curves, pole):
+        if is_pole:
+            poles = poles * curve
+        else:
+            zero = zero * curve
+    against = [CurveGerm(zero)] + ([CurveGerm(poles)] if any(pole) else [])
+    return germ, against
 
 
 class TestGenericPolar:
@@ -298,18 +321,21 @@ class TestGenericPolar:
             assert _direct_score(cusp(), probe, [CUSP_B.zero]) == (1, 3)
 
     def test_certificate_intersections_match_direct_calls(self):
-        # seeded corpus: df against f and a random curve through the origin
+        # seeded corpus: g*df + lambda*f*dg against its invariant curves f and g
         rng = random.Random(61)
         done = 0
         while done < 12:
-            f = random_nonzero_poly(rng, max_degree=4, max_terms=4, min_order=2)
+            f = random_nonzero_poly(rng, max_degree=4, max_terms=4, min_order=1)
             g = random_nonzero_poly(rng, max_degree=3, max_terms=3, min_order=1)
+            lam = rng.choice([-3, -2, -1, 1, 2, 3])
             try:
-                germ = FoliationGerm(f.diff(0), f.diff(1))
-                against = [CurveGerm(f), CurveGerm(g)]
-                cert = generic_polar(germ, against=against)
+                germ = FoliationGerm(g * f.diff(0) + f * g.diff(0) * lam,
+                                     g * f.diff(1) + f * g.diff(1) * lam)
+                germs.require_isolated(germ)
             except ValueError:
                 continue
+            against = [CurveGerm(f), CurveGerm(g)]
+            cert = generic_polar(germ, against=against)
             direct = tuple(
                 intersection_multiplicity(cert.polar.poly, c.poly) for c in against
             )
@@ -318,7 +344,8 @@ class TestGenericPolar:
             done += 1
 
     def test_degenerate_probe_is_scored_out(self):
-        # P + Q shares the line x - y with the zero divisor for probe (1, 1).
+        # P + Q shares the line x - y with the zero divisor for probe (1, 1),
+        # a tangent direction of x - y: special, so never scored.
         f = FoliationGerm(P("-y"), P("x"))
         cert = generic_polar(f, against=[CurveGerm(P("x - y"))])
         assert cert.probe == (1, 2)
@@ -346,6 +373,11 @@ class TestGenericPolar:
         with pytest.raises(ValueError, match="regular"):
             generic_polar(f, against=[CurveGerm(P("y"))])
 
+    def test_non_invariant_curve_rejected(self):
+        # y - x^2 is not a leaf of the cusp foliation: the lemma does not apply.
+        with pytest.raises(InvalidBalancedEquationError, match="not invariant"):
+            generic_polar(cusp(), against=[CurveGerm(P("y - x^2"))])
+
     def test_non_isolated_germ_rejected(self):
         f = FoliationGerm(Poly.zero(2), P("x"))
         with pytest.raises(NonIsolatedSingularityError):
@@ -356,6 +388,22 @@ class TestGenericPolar:
         # cannot show it, and the check raises under python -O as well.
         monkeypatch.setattr(germs, "probe_pencil", lambda count: ((1, 1),))
         with pytest.raises(EngineInconsistencyError, match="fewer than two"):
+            generic_polar(cusp(), against=[CUSP_B.zero])
+
+    def test_unequal_generic_scores_are_an_engine_inconsistency(self, monkeypatch):
+        values = iter((3, 4))
+        monkeypatch.setattr(germs, "intersection_multiplicity", lambda f, g: next(values))
+        with pytest.raises(EngineInconsistencyError, match=r"\(1, 1\) and \(1, 2\)"):
+            generic_polar(cusp(), against=[CUSP_B.zero])
+
+    def test_common_branch_at_a_generic_probe_is_an_engine_inconsistency(
+        self, monkeypatch
+    ):
+        def infinite(f, g):
+            raise NonIsolatedSingularityError("infinite")
+
+        monkeypatch.setattr(germs, "intersection_multiplicity", infinite)
+        with pytest.raises(EngineInconsistencyError, match=r"\(1, 1\) is not special"):
             generic_polar(cusp(), against=[CUSP_B.zero])
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -369,6 +417,8 @@ class TestGenericPolar:
         assert (cert.polar.order,) + cert.intersections == best
         assert scores[:count].count(best) >= 2
         assert cert.probe == probe_pencil(count)[scores.index(best)]
+        for probe, score in zip(probe_pencil(count + 6), scores):
+            assert (score == best) == (not _tangent_cone_special(germ, probe, against))
 
 
 class TestExcessAndTangency:
