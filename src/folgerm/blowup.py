@@ -13,10 +13,12 @@ it out gives the reduced transform.  The shared exponent ``m`` is either
 excess ``epsilon = m - nu`` is 1 exactly when the exceptional line is not
 invariant (the dicritical case).
 
-The reduction driver repeats blow-ups until every point of the total
-transform is in one of the final positions: a nondegenerate singularity whose
-eigenvalue ratio is not a positive rational, a saddle-node, a regular point
-crossing a dicritical component transversally, or a clean corner.  Singular
+The reduction driver is one loop over a stack of points.  It visits them
+depth first and blows each one up until every point of the total transform is
+in one of the final positions: a nondegenerate singularity whose eigenvalue
+ratio is not a positive rational, a saddle-node, a regular point crossing a
+dicritical component transversally, or a clean corner.  Nothing but the
+blow-up budget (``--max-blowups``) bounds the length of a chain.  Singular
 points are located as rational roots of a one-variable polynomial along the
 exceptional line.  The root search lifts the roots modulo a small prime
 p-adically (Loos's method) and has no budget, so it finds every rational
@@ -358,113 +360,78 @@ class ReductionResult:
         return not any(s.weak_along_divisor for s in self.singularities)
 
 
-class _Reduction:
-    def __init__(self, max_blowups: int):
-        self.max_blowups = max_blowups
-        self.blowups = 0
-        self.components: list[ExceptionalComponent] = []
-        self.edges: set[tuple[int, int]] = set()
-        self.singularities: list[ReducedSingularity] = []
+def reduce_germ(germ, max_blowups: int = MAX_BLOWUPS_DEFAULT) -> ReductionResult:
+    """Resolve the germ by blow-ups until every point is in final position.
 
-    def _dicritical(self, index: int) -> bool:
-        return self.components[index - 1].dicritical
-
-    def process(self, P: Poly, Q: Poly, through: tuple[tuple[int, str], ...]):
-        """Decide the fate of the germ (P, Q) at a point on ``through``."""
+    The points wait on a stack as (P, Q, t, cx, cy): the pair before its
+    translation by (0, t), and the components along the local axes x = 0 and
+    y = 0 (0 for none).  A blow-up pushes the origin of chart 2, then the
+    chart-1 points in decreasing order of t, so the walk is depth first and
+    components are indexed in the order they are made.  A negative budget is
+    an input error, not a verdict.
+    """
+    if max_blowups < 0:
+        raise ValueError(f"the blow-up budget must be at least 0, got {max_blowups}")
+    require_isolated(germ)
+    components: list[ExceptionalComponent] = []
+    edges: set[tuple[int, int]] = set()
+    singularities: list[ReducedSingularity] = []
+    stack = [(germ.P, germ.Q, 0, 0, 0)]
+    while stack:
+        P, Q, t, cx, cy = stack.pop()
+        if t:
+            P, Q = P.shift((0, t)), Q.shift((0, t))
         singular = P.constant_term() == 0 and Q.constant_term() == 0
-        dicritical = [c for c, _ in through if self._dicritical(c)]
-        if len(dicritical) >= 2:
-            return self.blow_up(P, Q, through)
-        if dicritical:
-            if singular:
-                return self.blow_up(P, Q, through)
-            axis = next(ax for c, ax in through if self._dicritical(c))
-            # Tangency with the dicritical line: the velocity along its
-            # conormal vanishes.
-            tangent = (
-                Q.constant_term() == 0 if axis == "x" else P.constant_term() == 0
-            )
-            if tangent:
-                return self.blow_up(P, Q, through)
-            return
-        if not singular:
-            return
-        cls = classify_point(P, Q)
-        if not cls.simple:
-            return self.blow_up(P, Q, through)
-        weak = False
-        if cls.kind == "saddle_node":
-            for _, axis in through:
-                if axis == "x" and cls.weak_direction == (0, 1):
-                    weak = True
-                if axis == "y" and cls.weak_direction == (1, 0):
-                    weak = True
-        self.singularities.append(
-            ReducedSingularity(
-                components=tuple(sorted(c for c, _ in through)),
-                kind=cls.kind,
-                ratio=cls.ratio,
-                weak_along_divisor=weak,
-            )
-        )
-
-    def blow_up(self, P: Poly, Q: Poly, through: tuple[tuple[int, str], ...]):
-        if self.blowups >= self.max_blowups:
-            raise BlowupLimitError(
-                f"not reduced after {self.max_blowups} blow-ups"
-            )
-        self.blowups += 1
+        dx = cx > 0 and components[cx - 1].dicritical
+        dy = cy > 0 and components[cy - 1].dicritical
+        if dx or dy:
+            # A regular point crossing one dicritical line is final unless it
+            # is tangent: the velocity along the line's conormal vanishes.
+            tangent = (Q if dx else P).constant_term() == 0
+            if not (dx and dy or singular or tangent):
+                continue
+        elif not singular:
+            continue
+        else:
+            cls = classify_point(P, Q)
+            if cls.simple:
+                weak = cls.kind == "saddle_node" and (
+                    cx > 0 and cls.weak_direction == (0, 1)
+                    or cy > 0 and cls.weak_direction == (1, 0)
+                )
+                singularities.append(
+                    ReducedSingularity(
+                        components=tuple(sorted(c for c in (cx, cy) if c)),
+                        kind=cls.kind,
+                        ratio=cls.ratio,
+                        weak_along_divisor=weak,
+                    )
+                )
+                continue
+        if len(components) >= max_blowups:
+            raise BlowupLimitError(f"not reduced after {max_blowups} blow-ups")
         data = blow_up(P, Q)
-        index = len(self.components) + 1
-        self.components.append(
-            ExceptionalComponent(index, data.dicritical, data.epsilon)
-        )
-        if len(through) == 2:
+        index = len(components) + 1
+        components.append(ExceptionalComponent(index, data.dicritical, data.epsilon))
+        if cx and cy:
             # Blowing up a corner separates the two old components.
-            old = tuple(sorted(c for c, _ in through))
-            self.edges.discard(old)
-        for c, _ in through:
-            self.edges.add(tuple(sorted((c, index))))
-        old_x = [c for c, ax in through if ax == "x"]
-        old_y = [c for c, ax in through if ax == "y"]
+            edges.discard((min(cx, cy), max(cx, cy)))
+        edges.update((c, index) for c in (cx, cy) if c)
 
         A1, B1 = data.chart1
         scan = B1 if data.dicritical else A1
         roots, residual, _ = rational_roots(_section_in_y(scan, Fraction(0)))
         if residual.total_degree() > 0:
             raise IrrationalSingularPointError(residual)
-        if old_y and Fraction(0) not in roots:
+        if cy and Fraction(0) not in roots:
             roots = [Fraction(0)] + roots
-        for t in roots:
-            child = [(index, "x")]
-            if t == 0 and old_y:
-                child.append((old_y[0], "y"))
-            self.process(
-                A1.shift((0, t)), B1.shift((0, t)), tuple(child)
-            )
-
-        A2, B2 = data.chart2
-        child = [(index, "y")]
-        if old_x:
-            child.append((old_x[0], "x"))
-        self.process(A2, B2, tuple(child))
-
-
-def reduce_germ(germ, max_blowups: int = MAX_BLOWUPS_DEFAULT) -> ReductionResult:
-    """Resolve the germ by blow-ups until every point is in final position.
-
-    A negative budget is an input error, not a verdict.
-    """
-    if max_blowups < 0:
-        raise ValueError(f"the blow-up budget must be at least 0, got {max_blowups}")
-    require_isolated(germ)
-    driver = _Reduction(max_blowups)
-    driver.process(germ.P, germ.Q, ())
+        stack.append((*data.chart2, 0, cx, index))
+        stack.extend((A1, B1, t, index, 0 if t else cy) for t in reversed(roots))
     return ReductionResult(
-        blowups=driver.blowups,
-        components=driver.components,
-        singularities=driver.singularities,
-        edges=tuple(sorted(driver.edges)),
+        blowups=len(components),
+        components=components,
+        singularities=singularities,
+        edges=tuple(sorted(edges)),
     )
 
 

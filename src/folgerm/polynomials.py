@@ -357,9 +357,11 @@ def _add_product(result: dict[Monomial, Fraction], a: Mapping[Monomial, Fraction
 # The leading sign extension admits inputs like "-y".  A parameter is any
 # identifier other than a variable name; it must be bound to a rational in
 # the ``parameters`` mapping and is substituted during parsing.  Blanks are
-# spaces and tabs.
+# spaces and tabs.  Groups nest at most MAX_NESTING deep, so that the descent
+# stays far inside Python's recursion limit.
 
 _BLANKS = re.compile(r"[ \t]*")
+MAX_NESTING = 100
 
 
 class _Parser:
@@ -379,6 +381,7 @@ class _Parser:
         self.nvars = nvars
         self.parameters = parameters
         self.pos = _BLANKS.match(text).end()
+        self.depth = 0
 
     def error(self, message: str) -> PolyParseError:
         return PolyParseError(message, self.pos)
@@ -443,11 +446,15 @@ class _Parser:
     def parse_base(self) -> Poly | tuple[int, int, list[int]]:
         ch = self.peek()
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                raise self.error(f"parentheses nested deeper than {MAX_NESTING}")
+            self.depth += 1
             self.advance(self.pos + 1)
             inner = self.parse_expr()
             if self.peek() != ")":
                 raise self.error("expected ')'")
             self.advance(self.pos + 1)
+            self.depth -= 1
             return inner
         exponents = [0] * self.nvars
         if ch.isdigit():

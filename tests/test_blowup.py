@@ -391,9 +391,16 @@ class TestReduction:
             except (IrrationalSingularPointError, BlowupLimitError):
                 continue
             finished += 1
+            # The dual graph is a tree on the components 1..blowups, and a
+            # corner singularity sits where its two components meet.
+            indices = [c.index for c in result.components]
+            assert indices == list(range(1, result.blowups + 1))
+            if result.blowups:
+                assert len(result.edges) == result.blowups - 1
             for sing in result.singularities:
                 assert sing.kind in ("nondegenerate", "saddle_node")
-            indices = {c.index for c in result.components}
+                if len(sing.components) == 2:
+                    assert sing.components in result.edges
             for i, j in result.edges:
                 assert i in indices and j in indices
         assert finished >= 10

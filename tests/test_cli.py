@@ -225,6 +225,19 @@ class TestLocalCommands:
         assert report["report"]["verdict"] == "pass"
         assert report["data"]["blowups"] == blowups
 
+    @pytest.mark.parametrize("command", ["reduce", "check-second-type"])
+    def test_600_blowup_chain(self, capsys, tmp_path, command):
+        # The node x dy - 600*y dx needs one blow-up per unit of its ratio,
+        # each at the corner that the last one made.
+        doc = tmp_path / "node600.fol"
+        doc.write_text("[foliation]\nP = -600*y\nQ = x\n[divisor]\nzero = x*y\n")
+        code, out, err = run(capsys, command, doc, "--max-blowups", 1000)
+        assert (code, err) == (0, "")
+        report = parse_document(out)
+        assert report["data"]["blowups"] == "600"
+        if command == "check-second-type":
+            assert report["data"]["reduction"] == "true"
+
     def test_check_bs_fk8_in_two_seconds(self, capsys, tmp_path):
         k = 8
         doc = tmp_path / "fk8.fol"
@@ -420,6 +433,14 @@ class TestExitCodes:
         code, _, err = run(capsys, "invariants", bad)
         assert code == 2
         assert "line 2" in err
+
+    def test_deeply_nested_parentheses(self, capsys, tmp_path):
+        doc = tmp_path / "nested.fol"
+        doc.write_text(f"[foliation]\nP = {'(' * 300}y{')' * 300}\nQ = x\n")
+        code, out, err = run(capsys, "invariants", doc)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "parentheses nested deeper than 100" in err
 
     def test_check_needs_divisor(self, capsys, tmp_path):
         doc = tmp_path / "nodivisor.fol"

@@ -124,6 +124,8 @@ MALFORMED = [
     ("_t*x", 2, "unknown parameter '_t'", 0),
     ("w", 3, "unknown parameter 'w'", 0),
     ("z*w", 3, "unknown parameter 'w'", 2),
+    pytest.param("(" * 150 + "x" + ")" * 150, 2, "parentheses nested deeper than 100",
+                 100, id="nested-parentheses"),
 ]
 
 
