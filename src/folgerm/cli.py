@@ -130,7 +130,7 @@ def _cmd_invariants(problem) -> CheckReport:
     data["mu_oracle"] = oracle
     if problem.divisor is not None:
         b = problem.divisor
-        inv = divisor_invariants(germ, b)
+        inv = divisor_invariants(germ, b, mu)
         data["nu_zero"] = b.zero.order
         data["nu_pole"] = b.pole.order if b.pole is not None else 0
         data["nu_signed"] = b.signed_multiplicity

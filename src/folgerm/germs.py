@@ -309,12 +309,17 @@ def generic_polar(
     the projective line, so at most 1 + sum nu(c) probes are special and at
     least two of K are not.
     """
-    if not f.is_singular:
-        raise ValueError("the germ is regular: no polar passes through the origin")
-    require_isolated(f)
     for c in against:
         if not invariance_test(f, c):
             raise InvalidBalancedEquationError(f"curve {c.poly} is not invariant")
+    return _generic_polar(f, against)
+
+
+def _generic_polar(f: FoliationGerm, against: Sequence[CurveGerm]) -> PolarCertificate:
+    """``generic_polar`` against curves already proven invariant."""
+    if not f.is_singular:
+        raise ValueError("the germ is regular: no polar passes through the origin")
+    require_isolated(f)
     count = sum(c.order for c in against) + 3
     cancelling = _cancelling_probe(f.P, f.Q)
     cones = [_integer_terms(c.poly.lowest_form()) for c in against]
@@ -373,22 +378,25 @@ class DivisorInvariants:
     delta: int
 
 
-def divisor_invariants(f: FoliationGerm, b: BalancedEquation) -> DivisorInvariants:
+def divisor_invariants(f: FoliationGerm, b: BalancedEquation,
+                       mu: int) -> DivisorInvariants:
     """The divisor quantities of ``check_cota`` and the invariants report, once.
 
     The polar is scored against B0 (and Binf); its certificate already holds
     i(polar, B0), which the polar excess delta reads; delta vanishes exactly
-    on generalized curves.  i(B0, Binf) is 0 without a pole.
+    on generalized curves.  i(B0, Binf) is 0 without a pole.  ``mu`` is the
+    Milnor number of f, which the caller holds; for f = dg and B0 = g it is B0's.
     """
     xi = tangency_excess(f, b)
     tau = tjurina_foliation(f, b.zero)
     against = [b.zero] + ([b.pole] if b.pole is not None else [])
-    cert = generic_polar(f, against=against)
+    cert = _generic_polar(f, against)
     i_zero_pole = 0
     if b.pole is not None:
         i_zero_pole = intersection_multiplicity(b.zero.poly, b.pole.poly)
-    delta = (cert.intersections[0] + i_zero_pole
-             - milnor_curve(b.zero) - b.zero.order + 1)
+    g = b.zero.poly
+    mu_zero = mu if (g.diff(0), g.diff(1)) == (f.P, f.Q) else milnor_curve(b.zero)
+    delta = cert.intersections[0] + i_zero_pole - mu_zero - b.zero.order + 1
     return DivisorInvariants(xi, tau, cert, i_zero_pole, delta)
 
 

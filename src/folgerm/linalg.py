@@ -47,15 +47,17 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return {c: v // g for c, v in row.items()}
 
 
-def sparse_int_echelon(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
+def sparse_int_echelon(
+    rows: list[dict[int, int]], pivots: dict[int, dict[int, int]] | None = None
+) -> dict[int, dict[int, int]]:
     """Echelon form of sparse integer rows (column index -> entry).
 
-    Returns the pivot rows keyed by their pivot, which is their smallest
-    column.  Cross-multiplication elimination with the content of every new
-    pivot row divided out, which keeps entries bounded on the structured
-    matrices the truncated local quotients produce.
+    Returns the pivot rows keyed by their pivot, their smallest column, and
+    extends ``pivots`` in place when given.  Cross-multiplication elimination
+    with the content of every new pivot row divided out, which keeps entries
+    bounded on the structured matrices the truncated local quotients produce.
     """
-    pivots: dict[int, dict[int, int]] = {}
+    pivots = {} if pivots is None else pivots
     for row in rows:
         current = row
         while current:

@@ -6,14 +6,19 @@ degree first, ties broken lexicographically with ``x > y``, so 1 leads.  Its
 rows are the monomial multiples ``x^a * g_i`` of the generators, cut off at
 degree M.  The rows span (I + m^M)/m^M, and after sparse integer elimination
 the columns without a pivot ("free" columns) of degree d number
-dim O/(I + m^(d+1)) - dim O/(I + m^d), for every d < M.
+dim O/(I + m^(d+1)) - dim O/(I + m^d), for every d < M.  The rows enter by
+lowest degree: all of degree d, generator by generator, then degree d + 1.
+A row of lowest degree above d has no entry at degree <= d, and cancelling
+it against a pivot row touches only columns at or after its first one, so
+the pivots of degree <= d are final once the rows of degree <= d are in.
 
 Certificate (Nakayama's lemma; Greuel-Pfister, *A Singular Introduction to
 Commutative Algebra*, 1.6-1.7): a degree N < M without a free column gives
-dim O/(I + m^N) = dim O/(I + m^(N+1)), hence m^N is inside I.  Then O/I is the
-space of polynomials of degree < N modulo the pivot rows cut off at N: the
-free columns are its basis (the staircase) and the pivot rows reduce onto
-it.  Before they stabilize the dimensions rise strictly, and generators of
+dim O/(I + m^N) = dim O/(I + m^(N+1)), hence m^N is inside I, and the
+elimination stops there.  Then O/I is the space of polynomials of degree
+< N modulo the pivot rows cut off at N: the free columns are its basis (the
+staircase), and the reduced echelon form of those rows over Z rewrites every
+other monomial on it.  Before they stabilize the dimensions rise strictly, and generators of
 degree <= d have colength at most d^n when it is finite (Bezout), so a
 quotient still rising at degree d^n is infinite.
 
@@ -27,10 +32,11 @@ nor the staircase, so the coordinates of every class come out the same.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import add
 from typing import Iterable, Sequence
 
-from .linalg import sparse_int_echelon
+from .linalg import _reduced_echelon, sparse_int_echelon
 from .polynomials import (  # noqa: F401
     EngineInconsistencyError,
     Monomial,
@@ -49,20 +55,15 @@ def column_key(monomial: Monomial) -> tuple:
 
 
 def _monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
+    """The monomials of one degree, in the local column order."""
     if nvars == 2:
         return [(degree - j, j) for j in range(degree + 1)]
-    out = []
-    for i in range(degree + 1):
-        for j in range(degree - i + 1):
-            out.append((i, j, degree - i - j))
-    return out
+    return [(i, j, degree - i - j)
+            for i in range(degree, -1, -1) for j in range(degree - i, -1, -1)]
 
 
 def _monomials_below(nvars: int, degree: int) -> list[Monomial]:
-    out: list[Monomial] = []
-    for d in range(degree):
-        out.extend(_monomials_of_degree(nvars, d))
-    return sorted(out, key=column_key)
+    return [m for d in range(degree) for m in _monomials_of_degree(nvars, d)]
 
 
 def _integer_generators(gens: Iterable[Poly]) -> tuple[int, list[Terms]]:
@@ -87,23 +88,29 @@ def _order(terms: Terms) -> int:
 
 def _echelon(
     gens: list[Terms], nvars: int, truncation: int
-) -> tuple[list[Monomial], dict[int, dict[int, int]]]:
-    """Columns below ``truncation`` and the pivot rows of the Macaulay matrix."""
+) -> tuple[list[Monomial], dict[int, dict[int, int]], int | None]:
+    """The columns below N, the pivot rows, and N: rows added by lowest degree.
+
+    The elimination stops at the first degree N whose columns are all
+    pivots; without one below ``truncation``, N is None and every column is kept.
+    """
     columns = _monomials_below(nvars, truncation)
     column_index = {m: i for i, m in enumerate(columns)}
-    rows: list[dict[int, int]] = []
-    for terms in gens:
-        room = truncation - _order(terms)
-        for d in range(max(room, 0)):
-            for shift in _monomials_of_degree(nvars, d):
-                row: dict[int, int] = {}
-                for m, c in terms.items():
-                    key = tuple(a + b for a, b in zip(m, shift))
-                    if sum(key) < truncation:
-                        row[column_index[key]] = c
-                if row:
-                    rows.append(row)
-    return columns, sparse_int_echelon(rows)
+    pivots: dict[int, dict[int, int]] = {}
+    for d in range(truncation):
+        rows = []
+        for terms in gens:
+            room = d - _order(terms)
+            if room < 0:
+                continue
+            kept = [(m, c) for m, c in terms.items() if sum(m) + room < truncation]
+            for shift in _monomials_of_degree(nvars, room):
+                rows.append({column_index[tuple(map(add, m, shift))]: c for m, c in kept})
+        sparse_int_echelon(rows, pivots)
+        block = [column_index[m] for m in _monomials_of_degree(nvars, d)]
+        if all(c in pivots for c in block):
+            return columns[:block[0]], pivots, d
+    return columns, pivots, None
 
 
 class StandardBasis:
@@ -113,20 +120,15 @@ class StandardBasis:
     quotient is infinite; ``quotient_basis`` is then None as well.
     """
 
-    def __init__(
-        self,
-        nvars: int,
-        columns: list[Monomial],
-        pivots: dict[int, dict[int, int]],
-        truncation: int | None,
-    ):
+    def __init__(self, nvars: int, columns: list[Monomial],
+                 pivots: dict[int, dict[int, int]], truncation: int | None):
         self.nvars = nvars
         self.truncation = truncation
         self._columns = columns
         self._pivots = pivots
         free = tuple(m for i, m in enumerate(columns) if i not in pivots)
         self.quotient_basis = free if truncation is not None else None
-        self._table: dict[Monomial, dict[Monomial, Fraction]] | None = None
+        self._table: dict[Monomial, tuple[int, dict[int, int]]] | None = None
 
     def quotient_dim(self) -> int | None:
         """Dimension of the local quotient ring, or None when infinite."""
@@ -134,26 +136,36 @@ class StandardBasis:
             return None
         return len(self.quotient_basis)
 
-    def _coordinates(self) -> dict[Monomial, dict[Monomial, Fraction]]:
-        """Staircase coordinates of every monomial of degree < N."""
+    def _coordinates(self) -> dict[Monomial, tuple[int, dict[int, int]]]:
+        """Staircase coordinates of every monomial of degree < N, over Z.
+
+        A monomial maps to (d, v): its coordinates are v[i] / d on the i-th
+        basis monomial; a pivot monomial's d is the lead of its reduced row.
+        """
         if self._table is None:
-            n = self.truncation
-            columns = self._columns
-            below = sum(1 for m in columns if sum(m) < n)
-            table = {m: {m: Fraction(1)} for m in self.quotient_basis}
-            # each pivot row only reaches columns after its pivot
-            for col in sorted((c for c in self._pivots if c < below), reverse=True):
-                row = self._pivots[col]
-                acc: dict[Monomial, Fraction] = {}
-                for c, v in row.items():
-                    if c == col or c >= below:
-                        continue
-                    for b, w in table[columns[c]].items():
-                        acc[b] = acc.get(b, 0) + v * w
-                lead = -row[col]
-                table[columns[col]] = {b: w / lead for b, w in acc.items() if w}
+            columns, below = self._columns, len(self._columns)
+            cut = {col: {c: v for c, v in row.items() if c < below}
+                   for col, row in self._pivots.items() if col < below}
+            index = {m: i for i, m in enumerate(self.quotient_basis)}
+            table = {m: (1, {i: 1}) for m, i in index.items()}
+            for col, row in _reduced_echelon(cut).items():
+                table[columns[col]] = (row[col], {
+                    index[columns[c]]: -v for c, v in row.items() if c != col})
             self._table = table
         return self._table
+
+    def _scaled_coordinates(self, terms: Terms, shift: Monomial) -> tuple[int, dict[int, int]]:
+        """(d, v): the coordinates of x^shift * sum(c * x^m) are v[i] / d."""
+        table = self._coordinates()
+        n = self.truncation - sum(shift)
+        hits = [(table[tuple(map(add, m, shift))], c) for m, c in terms.items() if sum(m) < n]
+        scale = lcm(*(d for (d, _), _ in hits))
+        out: dict[int, int] = {}
+        for (d, row), c in hits:
+            c *= scale // d
+            for i, v in row.items():
+                out[i] = out.get(i, 0) + c * v
+        return scale, out
 
     def reduce_to_coordinates(self, p: Poly) -> dict[Monomial, Fraction]:
         """Coordinates of the class of p on the quotient basis (exact)."""
@@ -161,13 +173,10 @@ class StandardBasis:
             raise ValueError("arity mismatch")
         if self.truncation is None:
             raise ValueError("canonical coordinates need a finite quotient")
-        table = self._coordinates()
-        out: dict[Monomial, Fraction] = {}
-        for m, c in p.items():
-            if sum(m) < self.truncation:
-                for b, w in table[m].items():
-                    out[b] = out.get(b, 0) + c * w
-        return {b: v for b, v in out.items() if v}
+        scale, terms = _scaled_terms(p)
+        d, out = self._scaled_coordinates(terms, (0,) * self.nvars)
+        basis = self.quotient_basis
+        return {basis[i]: Fraction(v, d * scale) for i, v in out.items() if v}
 
     def normal_form(self, p: Poly) -> Poly:
         """Canonical representative on the staircase; zero exactly for members."""
@@ -175,6 +184,12 @@ class StandardBasis:
 
     def contains(self, p: Poly) -> bool:
         return self.normal_form(p).is_zero
+
+
+def _scaled_terms(p: Poly) -> tuple[int, Terms]:
+    """(s, t): s * p has the integer term map t, s the lcm of p's denominators."""
+    scale = lcm(*(c.denominator for _, c in p.items()))
+    return scale, _integer_terms(p, scale)
 
 
 def _first_truncation(gens: list[Terms]) -> int:
@@ -192,20 +207,17 @@ def standard_basis(gens: Iterable[Poly]) -> StandardBasis:
     """Certified local quotient by the ideal of ``gens``.
 
     Grows the truncation M by half, from ``_first_truncation``, until some
-    degree below M has no free column, or until the free columns reach the
-    Bezout bound d^n (infinite quotient).  The certified N and the staircase
-    do not depend on where M stops once N < M.
+    degree N below M has no free column, where the elimination stops, or
+    until the free columns reach the Bezout bound d^n (infinite quotient).
+    The certified N and the staircase do not depend on where M stops.
     """
     nvars, gens = _integer_generators(gens)
     bezout = max(sum(m) for terms in gens for m in terms) ** nvars
     truncation = min(_first_truncation(gens), bezout + 1)
     while True:
-        columns, pivots = _echelon(gens, nvars, truncation)
-        top = max(
-            (sum(m) for i, m in enumerate(columns) if i not in pivots), default=-1
-        )
-        if top + 1 < truncation:
-            return StandardBasis(nvars, columns, pivots, top + 1)
+        columns, pivots, n = _echelon(gens, nvars, truncation)
+        if n is not None:
+            return StandardBasis(nvars, columns, pivots, n)
         if truncation > bezout:
             return StandardBasis(nvars, columns, pivots, None)
         truncation = min(truncation + truncation // 2, bezout + 1)
@@ -214,8 +226,8 @@ def standard_basis(gens: Iterable[Poly]) -> StandardBasis:
 class QuotientOperator:
     """Multiplication by a fixed element on the quotient basis, by columns.
 
-    Column j is a sparse mapping {i: coefficient of ``basis[i]``} of the
-    canonical form of ``basis[j] * f``; zero coefficients are absent.  These
+    Column j maps i to the coefficient (an int or a Fraction) of ``basis[i]``
+    in the canonical form of ``basis[j] * f``; zeros are absent.  These
     operators are mostly zero (61 nonzero entries of 66^2 for fk(6)), so
     products, ranks and kernels run on the columns.
     """
@@ -257,15 +269,19 @@ class QuotientOperator:
 
 
 def mult_operator(sb: StandardBasis, f: Poly) -> QuotientOperator:
+    """Multiplication by f: each column shifts f's integer term map by a basis
+    monomial; an entry is a ``Fraction`` only where it is not an integer."""
     if sb.quotient_dim() is None:
         raise ValueError("multiplication operator needs a finite quotient")
-    basis = sb.quotient_basis
-    index = {m: i for i, m in enumerate(basis)}
+    scale, terms = _scaled_terms(f)
     columns = []
-    for b in basis:
-        coordinates = sb.reduce_to_coordinates(Poly.monomial(b) * f)
-        columns.append({index[m]: c for m, c in coordinates.items()})
-    return QuotientOperator(basis, columns)
+    for b in sb.quotient_basis:
+        d, out = sb._scaled_coordinates(terms, b)
+        d *= scale
+        columns.append(
+            {i: v // d if v % d == 0 else Fraction(v, d) for i, v in out.items() if v}
+        )
+    return QuotientOperator(sb.quotient_basis, columns)
 
 
 # -- truncation oracle -----------------------------------------------------
@@ -274,11 +290,12 @@ def mult_operator(sb: StandardBasis, f: Poly) -> QuotientOperator:
 def macaulay_dim(gens: Sequence[Poly], truncation: int) -> int:
     """dim O/(I + m^N) for N = ``truncation``: the free columns below N.
 
-    Agrees with the local quotient dimension once N is large enough.
+    Agrees with the local quotient dimension once N is large enough.  Past
+    the certified degree there is no free column, so the count stops there.
     """
     nvars, gens = _integer_generators(gens)
-    columns, pivots = _echelon(gens, nvars, truncation)
-    return len(columns) - len(pivots)
+    columns, pivots, _ = _echelon(gens, nvars, truncation)
+    return sum(1 for c in range(len(columns)) if c not in pivots)
 
 
 def stabilized_macaulay_dim(gens: Sequence[Poly]) -> int | None:

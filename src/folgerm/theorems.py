@@ -153,7 +153,7 @@ def check_cota(f: FoliationGerm, b: BalancedEquation) -> CheckReport:
     nu^2 <= mu and nu^2 <= 2*tau.
     """
     mu = milnor_foliation(f)
-    inv = divisor_invariants(f, b)
+    inv = divisor_invariants(f, b, mu)
     tau, cert = inv.tau, inv.polar
     lhs = (b.zero.order - 1) ** 2 - inv.i_zero_pole
     if b.pole is not None:

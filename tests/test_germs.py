@@ -357,7 +357,8 @@ class TestGenericPolar:
         for t in ("1", "2", "1/2", "3", "1/3", "3/2", "2/3"):
             f = f * P(f"y - {t}*x - x^2")
         germ = FoliationGerm(f.diff(0), f.diff(1))
-        inv = divisor_invariants(germ, BalancedEquation(CurveGerm(f)))
+        b = BalancedEquation(CurveGerm(f))
+        inv = divisor_invariants(germ, b, milnor_foliation(germ))
         assert inv.polar.probe == (1, 4)
         assert inv.delta == 0
 
@@ -423,14 +424,14 @@ class TestGenericPolar:
 
 class TestExcessAndTangency:
     def test_polar_excess_vanishes_on_generalized_curves(self):
-        assert divisor_invariants(radial(), RADIAL_B).delta == 0
-        assert divisor_invariants(cusp(), CUSP_B).delta == 0
+        assert divisor_invariants(radial(), RADIAL_B, milnor_foliation(radial())).delta == 0
+        assert divisor_invariants(cusp(), CUSP_B, milnor_foliation(cusp())).delta == 0
 
     def test_linear_log_example(self):
         # x dy - lambda*y dx with lambda outside the positive rationals.
         f = FoliationGerm(P("3*y"), P("x"))
         b = BalancedEquation(CurveGerm(P("x*y")))
-        assert divisor_invariants(f, b).delta == 0
+        assert divisor_invariants(f, b, milnor_foliation(f)).delta == 0
         assert tangency_excess(f, b) == 0
 
     def test_tangency_excess(self):

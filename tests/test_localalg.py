@@ -402,3 +402,139 @@ class TestHighCorner:
         assert report.data["mu"] == 1
         assert report.data["member_normal_form"] is True
         assert time.perf_counter() - start < 1.0
+
+
+def dense_macaulay(gens, truncation):
+    """Columns below ``truncation`` and the reduced row echelon form, over Fraction.
+
+    A reference for the integer engine: the whole Macaulay matrix of the
+    multiples x^a * g of the generators, cut off at ``truncation``, as dense
+    ``Fraction`` rows, eliminated by Gauss-Jordan.  Returns the columns in
+    the local order and {pivot column: its row, with 1 at the pivot}.
+    """
+    columns = sorted(
+        ((d - j, j) for d in range(truncation) for j in range(d + 1)), key=column_key
+    )
+    index = {m: i for i, m in enumerate(columns)}
+    rows = []
+    for g in gens:
+        for d in range(truncation):
+            for j in range(d + 1):
+                row = [Fraction(0)] * len(columns)
+                for (a, b), c in g.items():
+                    if a + b + d < truncation:
+                        row[index[(a + d - j, b + j)]] = c
+                if any(row):
+                    rows.append(row)
+    pivots = {}
+    for col in range(len(columns)):
+        lead = next((r for r in rows if r[col]), None)
+        if lead is None:
+            continue
+        rows.remove(lead)
+        lead = [v / lead[col] for v in lead]
+        support = [i for i, v in enumerate(lead) if v]
+        for r in rows + list(pivots.values()):
+            factor = r[col]
+            if factor:
+                for i in support:
+                    r[i] -= factor * lead[i]
+        pivots[col] = lead
+    return columns, pivots
+
+
+class TestDenseFractionReference:
+    """The integer engine against dense Fraction elimination at N + 1.
+
+    At truncation N + 1 the reference must have a free column in every
+    degree below N and none in degree N, which is the certified N; its free
+    columns are the staircase, and its reduced rows give the coordinates of
+    every polynomial, hence every column of sigma.
+    """
+
+    @staticmethod
+    def reference(gens, n):
+        columns, pivots = dense_macaulay(gens, n + 1)
+        free = tuple(m for i, m in enumerate(columns) if i not in pivots)
+        assert {sum(m) for m in free} == set(range(n))
+
+        def coordinates(p):
+            vector = {columns.index(m): c for m, c in p.items() if sum(m) < n}
+            out = {}
+            for i, m in enumerate(columns):
+                if i not in pivots and sum(m) < n:
+                    value = vector.get(i, 0) - sum(
+                        c * pivots[k][i] for k, c in vector.items() if k in pivots
+                    )
+                    if value:
+                        out[m] = value
+            return out
+
+        return free, coordinates
+
+    def compare(self, gens, g, probes):
+        sb = standard_basis(gens)
+        assert sb.quotient_basis is not None
+        free, coordinates = self.reference(gens, sb.truncation)
+        assert sb.quotient_basis == free
+        for p in probes:
+            assert sb.reduce_to_coordinates(p) == coordinates(p)
+        index = {m: i for i, m in enumerate(free)}
+        sigma = mult_operator(sb, g)
+        for b, column in zip(free, sigma.columns):
+            expected = coordinates(Poly.monomial(b) * g)
+            assert column == {index[m]: v for m, v in expected.items()}
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_germ_corpus_ideals(self, seed):
+        # the shapes of the germ corpus: df and (f, f_x, f_y) for f of
+        # order >= 3 and degree <= 4, and random (P, Q) and (P, Q, h)
+        rng = random.Random(20261020 + seed)
+        checked = 0
+        while checked < 4:
+            f = random_nonzero_poly(rng, max_degree=4, max_terms=5, min_order=3)
+            p = random_nonzero_poly(rng, max_degree=4, max_terms=5, min_order=1)
+            q = random_nonzero_poly(rng, max_degree=4, max_terms=5, min_order=1)
+            probes = [random_nonzero_poly(rng, max_degree=6) for _ in range(3)]
+            for gens, g in (
+                ([f.diff(0), f.diff(1)], f),
+                ([f, f.diff(0), f.diff(1)], p),
+                ([p, q], f),
+                ([p, q, f], p * q),
+            ):
+                if any(h.is_zero for h in gens):
+                    continue
+                if standard_basis(gens).quotient_basis is not None:
+                    self.compare(gens, g, probes)
+                    checked += 1
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_fk_ladder(self, k):
+        p, q = fk_components(k)
+        self.compare([p, q], P("x*y"), [P("x*y"), P("x^3*y^2 - 2*x*y^5 + y^7")])
+
+    @pytest.mark.parametrize("n", range(5, 9))
+    def test_hamiltonian_ladder(self, n):
+        f = P(f"y^{n} - x^{n + 1} + x^{n - 1}*y^{n - 2}")
+        self.compare([f.diff(0), f.diff(1)], f, [f * f, P(f"x^{n}*y + 3/7*y^2")])
+
+    def test_non_isolated_pair_stays_infinite(self):
+        # x divides both: every degree keeps a free column up to the Bezout
+        # bound 3^2 = 9, past which the engine gives up on finiteness
+        gens = [P("x*y"), P("x^2 + x^3")]
+        sb = standard_basis(gens)
+        assert sb.quotient_basis is None and sb.truncation is None
+        columns, pivots = dense_macaulay(gens, 10)
+        free = {sum(m) for i, m in enumerate(columns) if i not in pivots}
+        assert free == set(range(10))
+
+    def test_fk4_sigma_entry_by_entry(self):
+        p, q = fk_components(4)
+        g = P("x*y")
+        sb = standard_basis([p, q])
+        sigma = mult_operator(sb, g)
+        index = {m: i for i, m in enumerate(sb.quotient_basis)}
+        assert len(sigma.columns) == sb.quotient_dim() == 28
+        for b, column in zip(sb.quotient_basis, sigma.columns):
+            coordinates = sb.reduce_to_coordinates(Poly.monomial(b) * g)
+            assert column == {index[m]: v for m, v in coordinates.items()}
