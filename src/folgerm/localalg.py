@@ -1,26 +1,34 @@
-"""Finite quotients of the local ring at the origin, by truncated linear algebra.
+"""Finite quotients of the local ring at the origin, by one pass over Macaulay rows.
 
-Every local dimension comes from one truncated Macaulay matrix.  Its columns
-are the monomials of degree < M in the local column order: lower total
-degree first, ties broken lexicographically with ``x > y``, so 1 leads.  Its
-rows are the monomial multiples ``x^a * g_i`` of the generators, cut off at
-degree M.  The rows span (I + m^M)/m^M, and after sparse integer elimination
-the columns without a pivot ("free" columns) of degree d number
-dim O/(I + m^(d+1)) - dim O/(I + m^d), for every d < M.  The rows enter by
-lowest degree: all of degree d, generator by generator, then degree d + 1.
-A row of lowest degree above d has no entry at degree <= d, and cancelling
-it against a pivot row touches only columns at or after its first one, so
-the pivots of degree <= d are final once the rows of degree <= d are in.
+Every local dimension comes from one Macaulay matrix in x, y.  Its columns
+are the monomials in the local column order: lower total degree first, ties
+broken lexicographically with ``x > y``, so 1 leads and x^i * y^j is column
+s(s+1)/2 + j for s = i + j.  Its rows are the monomial multiples
+``x^a * g_i`` of the generators, every term kept.  The rows enter by lowest
+degree: all of degree d, generator by generator, then degree d + 1.  A row of
+lowest degree above d has no entry at degree <= d, and cancelling it against
+a pivot row touches only columns at or after its first one, so the pivots of
+degree <= d are final once the rows of degree <= d are in.  The columns
+without a pivot ("free" columns) of degree d then number
+dim O/(I + m^(d+1)) - dim O/(I + m^d).
 
 Certificate (Nakayama's lemma; Greuel-Pfister, *A Singular Introduction to
-Commutative Algebra*, 1.6-1.7): a degree N < M without a free column gives
+Commutative Algebra*, 1.6-1.7): a degree N without a free column gives
 dim O/(I + m^N) = dim O/(I + m^(N+1)), hence m^N is inside I, and the
 elimination stops there.  Then O/I is the space of polynomials of degree
 < N modulo the pivot rows cut off at N: the free columns are its basis (the
 staircase), and the reduced echelon form of those rows over Z rewrites every
-other monomial on it.  Before they stabilize the dimensions rise strictly, and generators of
-degree <= d have colength at most d^n when it is finite (Bezout), so a
-quotient still rising at degree d^n is infinite.
+other monomial on it.  Before they stabilize the dimensions rise strictly,
+and generators of degree <= d have colength at most d^2 when it is finite
+(Bezout), so a quotient still rising at degree d^2 is infinite.
+
+Cutting the rows off at a degree M, as a truncated Macaulay matrix does, is
+the projection onto the columns below M.  The pivot columns of a row space
+are the first columns of its vectors, and a vector and its projection have
+the same first column below M, so the pivot columns below M, the certified N
+and the staircase are those of the cut rows.  The reduced echelon rows of a
+row space are unique up to scale, so the pivot rows cut off at N give the
+same coordinates as any elimination of the rows cut off at N.
 
 The rows read only integer coefficients, orders and degrees, so each
 generator enters as its primitive integer term map: its coefficients times
@@ -46,71 +54,56 @@ from .polynomials import (  # noqa: F401
 
 Terms = dict[Monomial, int]
 
-_MIN_TRUNCATION = 2
+
+def _column(i: int, j: int) -> int:
+    """The column of x^i * y^j in the local order."""
+    s = i + j
+    return s * (s + 1) // 2 + j
 
 
-def column_key(monomial: Monomial) -> tuple:
-    """Position in the local column order: smaller key, larger monomial."""
-    return (sum(monomial), tuple(-e for e in monomial))
+def _monomials_below(degree: int) -> list[Monomial]:
+    """The monomials of degree < ``degree``, in the local column order."""
+    return [(d - j, j) for d in range(degree) for j in range(d + 1)]
 
 
-def _monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
-    """The monomials of one degree, in the local column order."""
-    if nvars == 2:
-        return [(degree - j, j) for j in range(degree + 1)]
-    return [(i, j, degree - i - j)
-            for i in range(degree, -1, -1) for j in range(degree - i, -1, -1)]
-
-
-def _monomials_below(nvars: int, degree: int) -> list[Monomial]:
-    return [m for d in range(degree) for m in _monomials_of_degree(nvars, d)]
-
-
-def _integer_generators(gens: Iterable[Poly]) -> tuple[int, list[Terms]]:
-    """The arity and the primitive integer term map of each nonzero generator."""
+def _integer_generators(gens: Iterable[Poly]) -> list[Terms]:
+    """The primitive integer term map of each nonzero generator in x, y."""
     nonzero = [g for g in gens if not g.is_zero]
     if not nonzero:
         raise ValueError("need at least one nonzero generator")
-    nvars = nonzero[0].nvars
-    if any(g.nvars != nvars for g in nonzero):
-        raise ValueError("generators disagree on arity")
+    if any(g.nvars != 2 for g in nonzero):
+        raise ValueError("local quotients need generators in two variables")
     out = []
     for g in nonzero:
         terms = _integer_terms(g)
         content = gcd(*terms.values())
         out.append({m: c // content for m, c in terms.items()} if content > 1 else terms)
-    return nvars, out
+    return out
 
 
-def _order(terms: Terms) -> int:
-    return min(map(sum, terms))
+def _echelon(gens: list[Terms], degrees: int) -> tuple[dict[int, dict[int, int]], int | None]:
+    """The pivot rows and N, from the uncut rows of lowest degree < ``degrees``.
 
-
-def _echelon(
-    gens: list[Terms], nvars: int, truncation: int
-) -> tuple[list[Monomial], dict[int, dict[int, int]], int | None]:
-    """The columns below N, the pivot rows, and N: rows added by lowest degree.
-
-    The elimination stops at the first degree N whose columns are all
-    pivots; without one below ``truncation``, N is None and every column is kept.
+    The rows enter by lowest degree, every term kept, and the elimination
+    stops at the first degree N whose columns are all pivots; without one
+    below ``degrees``, N is None.  Below any degree M the pivot columns are
+    those of the rows cut off at M (the projection argument above), so no
+    truncation is chosen.
     """
-    columns = _monomials_below(nvars, truncation)
-    column_index = {m: i for i, m in enumerate(columns)}
+    orders = [min(map(sum, terms)) for terms in gens]
     pivots: dict[int, dict[int, int]] = {}
-    for d in range(truncation):
+    for d in range(degrees):
         rows = []
-        for terms in gens:
-            room = d - _order(terms)
+        for terms, order in zip(gens, orders):
+            room = d - order
             if room < 0:
                 continue
-            kept = [(m, c) for m, c in terms.items() if sum(m) + room < truncation]
-            for shift in _monomials_of_degree(nvars, room):
-                rows.append({column_index[tuple(map(add, m, shift))]: c for m, c in kept})
+            base = [(_column(a + room, b), c) for (a, b), c in terms.items()]
+            rows.extend({col + j: c for col, c in base} for j in range(room + 1))
         sparse_int_echelon(rows, pivots)
-        block = [column_index[m] for m in _monomials_of_degree(nvars, d)]
-        if all(c in pivots for c in block):
-            return columns[:block[0]], pivots, d
-    return columns, pivots, None
+        if all(c in pivots for c in range(_column(d, 0), _column(d + 1, 0))):
+            return pivots, d
+    return pivots, None
 
 
 class StandardBasis:
@@ -120,14 +113,17 @@ class StandardBasis:
     quotient is infinite; ``quotient_basis`` is then None as well.
     """
 
-    def __init__(self, nvars: int, columns: list[Monomial],
-                 pivots: dict[int, dict[int, int]], truncation: int | None):
-        self.nvars = nvars
+    nvars = 2
+
+    def __init__(self, pivots: dict[int, dict[int, int]], truncation: int | None):
         self.truncation = truncation
-        self._columns = columns
         self._pivots = pivots
-        free = tuple(m for i, m in enumerate(columns) if i not in pivots)
-        self.quotient_basis = free if truncation is not None else None
+        self._columns: list[Monomial] = []
+        self.quotient_basis: tuple[Monomial, ...] | None = None
+        if truncation is not None:
+            self._columns = _monomials_below(truncation)
+            self.quotient_basis = tuple(
+                m for i, m in enumerate(self._columns) if i not in pivots)
         self._table: dict[Monomial, tuple[int, dict[int, int]]] | None = None
 
     def quotient_dim(self) -> int | None:
@@ -192,35 +188,16 @@ def _scaled_terms(p: Poly) -> tuple[int, Terms]:
     return scale, _integer_terms(p, scale)
 
 
-def _first_truncation(gens: list[Terms]) -> int:
-    """a + b for the two smallest generator orders a <= b, and at least 2.
-
-    Two generic generators of orders a and b leave m^(a+b-1) inside I, so M =
-    a + b is the first truncation that can certify them: M = 2 certifies
-    independent linear parts (N = 1).  Not 1: the growth M + M // 2 stalls
-    there.  Where M starts changes neither N nor the staircase.
-    """
-    return max(_MIN_TRUNCATION, sum(sorted(map(_order, gens))[:2]))
-
-
 def standard_basis(gens: Iterable[Poly]) -> StandardBasis:
     """Certified local quotient by the ideal of ``gens``.
 
-    Grows the truncation M by half, from ``_first_truncation``, until some
-    degree N below M has no free column, where the elimination stops, or
-    until the free columns reach the Bezout bound d^n (infinite quotient).
-    The certified N and the staircase do not depend on where M stops.
+    One elimination of the uncut Macaulay rows, by lowest degree, which stops
+    at the first degree N with no free column, or past the Bezout bound d^2
+    with a quotient still rising (infinite quotient).
     """
-    nvars, gens = _integer_generators(gens)
-    bezout = max(sum(m) for terms in gens for m in terms) ** nvars
-    truncation = min(_first_truncation(gens), bezout + 1)
-    while True:
-        columns, pivots, n = _echelon(gens, nvars, truncation)
-        if n is not None:
-            return StandardBasis(nvars, columns, pivots, n)
-        if truncation > bezout:
-            return StandardBasis(nvars, columns, pivots, None)
-        truncation = min(truncation + truncation // 2, bezout + 1)
+    gens = _integer_generators(gens)
+    bezout = max(sum(m) for terms in gens for m in terms) ** 2
+    return StandardBasis(*_echelon(gens, bezout + 1))
 
 
 class QuotientOperator:
@@ -293,9 +270,9 @@ def macaulay_dim(gens: Sequence[Poly], truncation: int) -> int:
     Agrees with the local quotient dimension once N is large enough.  Past
     the certified degree there is no free column, so the count stops there.
     """
-    nvars, gens = _integer_generators(gens)
-    columns, pivots, _ = _echelon(gens, nvars, truncation)
-    return sum(1 for c in range(len(columns)) if c not in pivots)
+    pivots, n = _echelon(_integer_generators(gens), truncation)
+    below = _column(truncation if n is None else n, 0)
+    return sum(1 for c in range(below) if c not in pivots)
 
 
 def stabilized_macaulay_dim(gens: Sequence[Poly]) -> int | None:
@@ -303,7 +280,7 @@ def stabilized_macaulay_dim(gens: Sequence[Poly]) -> int | None:
 
     Starts at max(4, 2*maxdeg + 2) and steps by 2.  Equal values at N and
     N + 2 put m^N inside I (Nakayama), so they are the colength.  A value
-    above the Bezout bound d^n proves the quotient infinite: the result is
+    above the Bezout bound d^2 proves the quotient infinite: the result is
     then None, as from ``quotient_dim``.  This is a second truncation
     schedule over the same rows as ``standard_basis``, not an independent
     check; the package no longer calls it (the ``mu_oracle`` of
@@ -311,7 +288,7 @@ def stabilized_macaulay_dim(gens: Sequence[Poly]) -> int | None:
     it stays for the benchmark's closed-form checks.
     """
     degree = max(g.total_degree() for g in gens if not g.is_zero)
-    bezout = degree ** gens[0].nvars
+    bezout = degree ** 2
     n = max(4, 2 * degree + 2)
     previous = None
     while True:

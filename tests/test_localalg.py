@@ -17,7 +17,6 @@ from folgerm.germs import (
 from folgerm.linalg import bareiss_rank, kernel_basis
 from folgerm.localalg import (
     QuotientOperator,
-    column_key,
     macaulay_dim,
     mult_operator,
     stabilized_macaulay_dim,
@@ -42,6 +41,14 @@ def fk_components(k, lam=1):
         {"lambda": Fraction(lam)},
     )
     return p, q
+
+
+def column_key(monomial):
+    """Position in the local column order: smaller key, larger monomial.
+
+    The reference order that the engine's closed-form column numbers follow.
+    """
+    return (sum(monomial), tuple(-e for e in monomial))
 
 
 def greater(m1, m2):
@@ -104,6 +111,17 @@ class TestLocalOrder:
         assert min(P("x - x^2").terms, key=column_key) == (1, 0)
         assert min(P("x^2*y + x*y^2 + y^5").terms, key=column_key) == (2, 1)
 
+    @pytest.mark.parametrize("degree", range(41))
+    def test_closed_form_columns(self, degree):
+        # the engine numbers the columns with no table: x^i * y^j is column
+        # s(s+1)/2 + j for s = i + j
+        monomials = localalg._monomials_below(degree)
+        expected = sorted(
+            ((d - j, j) for d in range(degree) for j in range(d + 1)), key=column_key
+        )
+        assert monomials == expected
+        assert [localalg._column(*m) for m in monomials] == list(range(len(monomials)))
+
 
 class TestStandardBasis:
     def test_maximal_ideal(self):
@@ -136,6 +154,10 @@ class TestStandardBasis:
         with pytest.raises(ValueError):
             standard_basis([Poly.zero(2)])
 
+    def test_rejects_three_variables(self):
+        with pytest.raises(ValueError):
+            standard_basis([Poly.variable(3, 0), Poly.variable(3, 1), Poly.variable(3, 2)])
+
     def test_fk5_tjurina_staircase(self):
         p, q = fk_components(5)
         sb = standard_basis([P("x*y"), p, q])
@@ -153,14 +175,12 @@ class TestStandardBasis:
 class TestTruncationFloor:
     def test_independent_linear_parts_certify_at_one(self):
         gens = [P("2*x - y + x*y^3"), P("x + y^2")]
-        assert localalg._first_truncation(localalg._integer_generators(gens)[1]) == 2
         sb = standard_basis(gens)
         assert sb.truncation == 1
         assert sb.quotient_dim() == 1
 
     def test_growth_from_two(self):
         gens = [P("y"), P("y + x^5")]
-        assert localalg._first_truncation(localalg._integer_generators(gens)[1]) == 2
         sb = standard_basis(gens)
         assert sb.quotient_dim() == 5
         assert sb.truncation == 5
@@ -306,8 +326,7 @@ class TestIntegerGenerators:
 
     def test_term_map_is_the_primitive_part(self):
         g = P("-3/4*x^2 + 9/2*x*y - 3/8*y^3")
-        nvars, (terms,) = localalg._integer_generators([g, Poly.zero(2)])
-        assert nvars == 2
+        (terms,) = localalg._integer_generators([g, Poly.zero(2)])
         assert terms == {(2, 0): -2, (1, 1): 12, (0, 3): -1}
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -507,6 +526,33 @@ class TestDenseFractionReference:
                 if standard_basis(gens).quotient_basis is not None:
                     self.compare(gens, g, probes)
                     checked += 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_long_tails(self, seed):
+        # rows whose terms reach far past the certified N: chart-germ pairs
+        # (an invertible linear part plus terms up to degree 9, mu = 1, as at
+        # the projective-ladder points), and x^a + ..., y^b + ... whose
+        # second terms lie past N = a + b - 1
+        rng = random.Random(20261120 + seed)
+
+        def tail(low, high):
+            return random_nonzero_poly(rng, max_degree=high, max_terms=5, min_order=low)
+
+        for _ in range(3):
+            a, b, c, d = (Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4))
+            if a * d == b * c:
+                continue
+            gens = [P("x") * a + P("y") * b + tail(2, 9), P("x") * c + P("y") * d + tail(2, 9)]
+            self.compare(gens, tail(1, 9), [tail(0, 9), tail(0, 4)])
+            assert standard_basis(gens).truncation == 1
+        for _ in range(3):
+            a, b = rng.randint(2, 5), rng.randint(2, 5)
+            gens = [
+                P(f"x^{a}") * rng.randint(1, 5) + tail(a + b, a + b + 4),
+                P(f"y^{b}") * rng.randint(-5, -1) + tail(a + b, a + b + 4),
+            ]
+            self.compare(gens, tail(1, 4), [tail(0, 2 * (a + b)), tail(a + b - 1, a + b + 2)])
+            assert standard_basis(gens).truncation == a + b - 1
 
     @pytest.mark.parametrize("k", range(3, 9))
     def test_fk_ladder(self, k):
