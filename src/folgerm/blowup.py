@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .germs import require_isolated
 from .localalg import EngineInconsistencyError
@@ -103,8 +103,7 @@ def _common_order(a: Poly, b: Poly, var: int) -> int:
     return min(orders)
 
 
-@dataclass(frozen=True)
-class BlowupResult:
+class BlowupResult(NamedTuple):
     """One quadratic blow-up at the origin, both charts reduced."""
 
     nu: int
@@ -146,8 +145,7 @@ def blow_up(P: Poly, Q: Poly) -> BlowupResult:
 # classification of a single point
 
 
-@dataclass(frozen=True)
-class PointClassification:
+class PointClassification(NamedTuple):
     kind: str  # "smooth" | "nondegenerate" | "saddle_node" | "non_simple"
     ratio: Fraction | None = None
     weak_direction: tuple[Fraction, Fraction] | None = None
@@ -312,15 +310,13 @@ def rational_roots(coeffs: list[Fraction | int]) -> tuple[list[Fraction], Poly, 
 # the reduction driver
 
 
-@dataclass(frozen=True)
-class ExceptionalComponent:
+class ExceptionalComponent(NamedTuple):
     index: int
     dicritical: bool
     epsilon: int
 
 
-@dataclass(frozen=True)
-class ReducedSingularity:
+class ReducedSingularity(NamedTuple):
     """A simple singular point of the fully reduced foliation.
 
     ``components`` are the indices of the exceptional components through the
@@ -335,12 +331,20 @@ class ReducedSingularity:
     weak_along_divisor: bool = False
 
 
-@dataclass
 class ReductionResult:
-    blowups: int
-    components: list[ExceptionalComponent]
-    singularities: list[ReducedSingularity]
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ("blowups", "components", "singularities", "edges")
+
+    def __init__(
+        self,
+        blowups: int,
+        components: list[ExceptionalComponent],
+        singularities: list[ReducedSingularity],
+        edges: tuple[tuple[int, int], ...],
+    ):
+        self.blowups = blowups
+        self.components = components
+        self.singularities = singularities
+        self.edges = edges
 
     def valence(self, index: int) -> int:
         return sum(1 for e in self.edges if index in e)

@@ -16,9 +16,8 @@ file states unambiguously which kind of computation it feeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .germs import BalancedEquation, CurveGerm, FoliationGerm
 from .polynomials import VAR_NAMES, Poly, parse_poly
@@ -158,14 +157,12 @@ def _parse_points(value: str) -> list[ProjectivePoint]:
     return points
 
 
-@dataclass(frozen=True)
-class LocalProblem:
+class LocalProblem(NamedTuple):
     germ: FoliationGerm
     divisor: BalancedEquation | None
 
 
-@dataclass(frozen=True)
-class ProjectiveProblem:
+class ProjectiveProblem(NamedTuple):
     coefficients: tuple[Poly, Poly, Poly]
     curve: Poly | None
     points: list[ProjectivePoint] | None

@@ -15,10 +15,9 @@ shares no code with the standard bases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .localalg import EngineInconsistencyError, StandardBasis, standard_basis
 from .polynomials import (
@@ -61,21 +60,35 @@ class InvalidBalancedEquationError(ValueError):
     """The supplied divisor fails coprimality, reducedness, or invariance."""
 
 
-@dataclass(frozen=True)
+def _refuse_assignment(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class FoliationGerm:
     """Kernel of P dx + Q dy at the origin; P and Q share no factor."""
 
-    P: Poly
-    Q: Poly
+    __slots__ = ("P", "Q")
 
-    def __post_init__(self):
-        if self.P.nvars != 2 or self.Q.nvars != 2:
+    def __init__(self, P: Poly, Q: Poly):
+        if P.nvars != 2 or Q.nvars != 2:
             raise ValueError("foliation germs live in two variables")
-        if self.P.is_zero and self.Q.is_zero:
+        if P.is_zero and Q.is_zero:
             raise ValueError("both components vanish identically")
-        if not self.P.is_zero and not self.Q.is_zero:
-            if poly_gcd(self.P, self.Q).total_degree() > 0:
+        if not P.is_zero and not Q.is_zero:
+            if poly_gcd(P, Q).total_degree() > 0:
                 raise ValueError("components share a common factor")
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "Q", Q)
+
+    __setattr__ = _refuse_assignment
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FoliationGerm):
+            return NotImplemented
+        return self.P == other.P and self.Q == other.Q
+
+    def __hash__(self) -> int:
+        return hash((self.P, self.Q))
 
     @classmethod
     def _of_coprime_chart_pair(cls, P: Poly, Q: Poly) -> FoliationGerm:
@@ -92,7 +105,7 @@ class FoliationGerm:
         A translation is a ring automorphism and keeps the pair coprime.
         The pair is never both zero: the chart of a nonzero homogeneous
         coefficient is nonzero, and two vanishing coefficients force the
-        third to vanish.  Every other path runs the gcd of ``__post_init__``.
+        third to vanish.  Every other path runs the gcd of ``__init__``.
         """
         germ = object.__new__(cls)
         object.__setattr__(germ, "P", P)
@@ -112,17 +125,27 @@ class FoliationGerm:
         return f"({self.P}) dx + ({self.Q}) dy"
 
 
-@dataclass(frozen=True)
 class CurveGerm:
     """A nonzero polynomial vanishing at the origin."""
 
-    poly: Poly
+    __slots__ = ("poly",)
 
-    def __post_init__(self):
-        if self.poly.is_zero:
+    def __init__(self, poly: Poly):
+        if poly.is_zero:
             raise ValueError("the zero polynomial does not define a curve")
-        if self.poly.constant_term() != 0:
+        if poly.constant_term() != 0:
             raise ValueError("curve germ must pass through the origin")
+        object.__setattr__(self, "poly", poly)
+
+    __setattr__ = _refuse_assignment
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CurveGerm):
+            return NotImplemented
+        return self.poly == other.poly
+
+    def __hash__(self) -> int:
+        return hash(self.poly)
 
     @property
     def order(self) -> int:
@@ -136,8 +159,7 @@ class CurveGerm:
         return str(self.poly)
 
 
-@dataclass(frozen=True)
-class BalancedEquation:
+class BalancedEquation(NamedTuple):
     """Zero and pole parts of a balanced equation of separatrices."""
 
     zero: CurveGerm
@@ -254,8 +276,7 @@ def intersection_multiplicity(f: Poly, g: Poly) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class PolarCertificate:
+class PolarCertificate(NamedTuple):
     """A generic polar and its intersection numbers with the scored curves."""
 
     polar: CurveGerm
@@ -367,8 +388,7 @@ def tangency_excess(f: FoliationGerm, b: BalancedEquation) -> int:
     return multiplicity(f) - b.signed_multiplicity + 1
 
 
-@dataclass(frozen=True)
-class DivisorInvariants:
+class DivisorInvariants(NamedTuple):
     """xi, tau, the polar, i(B0, Binf) and delta against a divisor B0 - Binf."""
 
     xi: int

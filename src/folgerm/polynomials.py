@@ -19,6 +19,7 @@ from itertools import combinations
 from math import comb as _comb
 from math import gcd as _int_gcd
 from math import lcm as _lcm
+from math import log10 as _log10
 from operator import add as _add
 from typing import Iterable, Mapping
 
@@ -358,10 +359,13 @@ def _add_product(result: dict[Monomial, Fraction], a: Mapping[Monomial, Fraction
 # identifier other than a variable name; it must be bound to a rational in
 # the ``parameters`` mapping and is substituted during parsing.  Blanks are
 # spaces and tabs.  Groups nest at most MAX_NESTING deep, so that the descent
-# stays far inside Python's recursion limit.
+# stays far inside Python's recursion limit.  A power of a number has at most
+# MAX_POWER_DIGITS digits, the most CPython 3.11 converts from a literal, so
+# that ``3^99999999999`` is refused at once instead of computed for ever.
 
 _BLANKS = re.compile(r"[ \t]*")
 MAX_NESTING = 100
+MAX_POWER_DIGITS = 4300
 
 
 class _Parser:
@@ -436,11 +440,17 @@ class _Parser:
         if self.peek() != "^":
             return base
         self.advance(self.pos + 1)
+        start = self.pos
         exponent = self.parse_nat()
         self.advance(self.pos)
         if isinstance(base, Poly):
             return base**exponent
         num, den, exponents = base
+        largest = max(abs(num), den)
+        if largest > 1 and exponent * _log10(largest) >= MAX_POWER_DIGITS:
+            raise PolyParseError(
+                f"numeric power has more than {MAX_POWER_DIGITS} digits", start
+            )
         return num**exponent, den**exponent, [e * exponent for e in exponents]
 
     def parse_base(self) -> Poly | tuple[int, int, list[int]]:

@@ -19,14 +19,15 @@ by discarding the differential of the chart variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .blowup import _section_in_y, horner, rational_roots
 from .germs import (
     CurveGerm,
     FoliationGerm,
+    _refuse_assignment,
     milnor_foliation,
     multiplicity,
     tjurina_curve,
@@ -54,7 +55,6 @@ class EulerRelationError(ValueError):
         self.residual = residual
 
 
-@dataclass(frozen=True)
 class ProjectiveFoliation:
     """Homogeneous 1-form A dx + B dy + C dz of projective degree d.
 
@@ -66,13 +66,7 @@ class ProjectiveFoliation:
     factor (such forms do not define a foliation of the stated degree).
     """
 
-    A: Poly
-    B: Poly
-    C: Poly
-    degree: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        A, B, C = self.A, self.B, self.C
+    def __init__(self, A: Poly, B: Poly, C: Poly):
         for coeff in (A, B, C):
             if coeff.nvars != 3:
                 raise ValueError("projective coefficients live in three variables")
@@ -105,7 +99,20 @@ class ProjectiveFoliation:
                 common = poly_gcd(common, coeff)
         if common.total_degree() > 0:
             raise ValueError(f"coefficients share the common factor {common}")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "C", C)
         object.__setattr__(self, "degree", degrees.pop() - 1)
+
+    __setattr__ = _refuse_assignment
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ProjectiveFoliation):
+            return NotImplemented
+        return (self.A, self.B, self.C) == (other.A, other.B, other.C)
+
+    def __hash__(self) -> int:
+        return hash((self.A, self.B, self.C))
 
     @cached_property
     def _charts(self) -> tuple[tuple[Poly, Poly], ...]:
@@ -146,8 +153,7 @@ def is_invariant_curve(form: ProjectiveFoliation, curve: Poly) -> bool:
     return divides_wedge(curve, (form.A, form.B, form.C))
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
+class ProjectivePoint(NamedTuple):
     """Homogeneous coordinates scaled so the last nonzero entry is 1."""
 
     coords: tuple[Fraction, Fraction, Fraction]
@@ -275,8 +281,7 @@ def chart_curve(curve: Poly, point: ProjectivePoint) -> CurveGerm:
     return CurveGerm(local)
 
 
-@dataclass(frozen=True)
-class MilnorSumCertificate:
+class MilnorSumCertificate(NamedTuple):
     """Local Milnor numbers at chosen singular points of a foliation.
 
     Every singular point contributes at least 1 to the global count of
@@ -289,7 +294,7 @@ class MilnorSumCertificate:
     entries: tuple[tuple[ProjectivePoint, int], ...]
     total: int
     expected: int
-    germs: tuple[FoliationGerm, ...] = field(repr=False, compare=False)
+    germs: tuple[FoliationGerm, ...]
 
     @property
     def certified(self) -> bool:

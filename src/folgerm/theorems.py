@@ -15,8 +15,6 @@ the Milnor number reaches twice the Tjurina number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .blowup import (
     MAX_BLOWUPS_DEFAULT,
     BlowupLimitError,
@@ -44,12 +42,20 @@ FAIL = "fail"
 NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass
 class CheckReport:
-    name: str
-    verdict: str
-    data: dict = field(default_factory=dict)
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("name", "verdict", "data", "notes")
+
+    def __init__(
+        self,
+        name: str,
+        verdict: str,
+        data: dict | None = None,
+        notes: list[str] | None = None,
+    ):
+        self.name = name
+        self.verdict = verdict
+        self.data = {} if data is None else data
+        self.notes = [] if notes is None else notes
 
     @property
     def failed(self) -> bool:

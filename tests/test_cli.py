@@ -442,6 +442,14 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "parentheses nested deeper than 100" in err
 
+    def test_huge_numeric_power(self, capsys, tmp_path):
+        doc = tmp_path / "power.fol"
+        doc.write_text("[foliation]\nP = y + 3^99999999999\nQ = x\n")
+        code, out, err = run(capsys, "invariants", doc)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "numeric power has more than 4300 digits (at column 7)" in err
+
     def test_check_needs_divisor(self, capsys, tmp_path):
         doc = tmp_path / "nodivisor.fol"
         doc.write_text("[foliation]\nP = -y\nQ = x\n")

@@ -126,6 +126,9 @@ MALFORMED = [
     ("z*w", 3, "unknown parameter 'w'", 2),
     pytest.param("(" * 150 + "x" + ")" * 150, 2, "parentheses nested deeper than 100",
                  100, id="nested-parentheses"),
+    ("y + 3^99999999999", 2, "numeric power has more than 4300 digits", 6),
+    ("x*lam ^ 99999999999", 2, "numeric power has more than 4300 digits", 8),
+    ("1/7^9999*x", 2, "numeric power has more than 4300 digits", 4),
 ]
 
 
@@ -152,6 +155,13 @@ class TestParse:
             parse_poly(text, nvars, {"lam": LAMBDA})
         assert str(err.value) == f"{message} (at column {column + 1})"
         assert err.value.position == column
+
+    def test_numeric_power_digit_bound(self):
+        assert P("10^4299") == Poly.constant(2, 10**4299)
+        assert P("0^99999999999 + 1^99999999999*x") == P("x")
+        assert P("x^99999999999").terms == {(99999999999, 0): 1}
+        with pytest.raises(PolyParseError, match="more than 4300 digits"):
+            P("10^4300")
 
     def test_basic_terms(self):
         p = P("x^2 + 3/4*x*y")
