@@ -1,7 +1,7 @@
 """Exact local invariants of plane foliation germs.
 
-Everything is computed over the rationals with :class:`fractions.Fraction`
-coefficients: standard bases of local ideals, Milnor and Tjurina numbers,
+Everything is computed exactly over the rationals; a polynomial is a
+rational content times a primitive integer term map: standard bases of local ideals, Milnor and Tjurina numbers,
 polar intersection certificates, blow-up reduction of singularities, and
 the global count of singular points of a degree-``d`` foliation of the
 projective plane.  The submodules stay importable on their own; this

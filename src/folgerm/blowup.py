@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 from .germs import require_isolated
 from .localalg import EngineInconsistencyError
-from .polynomials import Poly, _integer_terms, _zx_div, _zx_gcd
+from .polynomials import Poly, _add_terms, _common_scale, _zx_div, _zx_gcd
 
 MAX_BLOWUPS_DEFAULT = 24
 
@@ -59,43 +59,35 @@ class BlowupLimitError(RuntimeError):
 
 
 def _order_in(p: Poly, var: int) -> int:
-    return min(m[var] for m in p.terms)
+    return min(m[var] for m in p._t)
 
 
 def _chart(P: Poly, Q: Poly, var: int) -> tuple[Poly, Poly]:
     """The pull-back of ``P dx + Q dy`` to chart ``var + 1``, undivided.
 
     Both charts are monomial maps, so each term goes to one term: chart 1
-    sends x^a y^b to x^(a+b) y^b, chart 2 sends it to x^a y^(a+b).  Only the
-    coefficient that takes both P and Q can cancel.
+    sends x^a y^b to x^(a+b) y^b, chart 2 sends it to x^a y^(a+b), and a
+    primitive map stays primitive.  Only the coefficient that takes both P
+    and Q can cancel; it is formed on one integer scale of the pair.
     """
+    scale, (p, q) = _common_scale((P, Q))
     if var == 0:
-        A = {(a + b, b): c for (a, b), c in P.items()}
-        B = {(a + b + 1, b): c for (a, b), c in Q.items()}
-        shared, extra = A, {(a + b, b + 1): c for (a, b), c in Q.items()}
+        kept = Poly._raw(2, Q._c, {(a + b + 1, b): c for (a, b), c in Q._t.items()})
+        shared = {(a + b, b): c for (a, b), c in p.items()}
+        extra = (((a + b, b + 1), c) for (a, b), c in q.items())
     else:
-        A = {(a, a + b + 1): c for (a, b), c in P.items()}
-        B = {(a + 1, a + b): c for (a, b), c in P.items()}
-        shared, extra = B, {(a, a + b): c for (a, b), c in Q.items()}
-    for monomial, c in extra.items():
-        if monomial not in shared:
-            shared[monomial] = c
-        elif value := shared[monomial] + c:
-            shared[monomial] = value
-        else:
-            del shared[monomial]
-    return Poly._trusted(2, A), Poly._trusted(2, B)
+        kept = Poly._raw(2, P._c, {(a, a + b + 1): c for (a, b), c in P._t.items()})
+        shared = {(a + 1, a + b): c for (a, b), c in p.items()}
+        extra = (((a, a + b), c) for (a, b), c in q.items())
+    shared = Poly._of(2, _add_terms(shared, extra), 1, scale)
+    return (shared, kept) if var == 0 else (kept, shared)
 
 
 def _div_power(p: Poly, var: int, k: int) -> Poly:
     if k == 0 or p.is_zero:
         return p
-    terms = {}
-    for mono, coeff in p.items():
-        e = list(mono)
-        e[var] -= k
-        terms[tuple(e)] = coeff
-    return Poly._trusted(p.nvars, terms)
+    terms = {m[:var] + (m[var] - k,) + m[var + 1:]: c for m, c in p._t.items()}
+    return Poly._raw(p.nvars, p._c, terms)
 
 
 def _common_order(a: Poly, b: Poly, var: int) -> int:
@@ -211,15 +203,14 @@ def classify_point(P: Poly, Q: Poly) -> PointClassification:
 
 
 def _section_in_y(p: Poly, x0: Fraction) -> list[int]:
-    """Coefficients of p(x0, t) by power of t, times a nonzero integer.
+    """Coefficients of p(x0, t) by power of t, times a nonzero rational.
 
     With x0 = n/d and D = deg_x p, the t^j coefficient is the integer
-    sum_i c_ij n^i d^(D - i), over the coefficients c_ij of p with
-    denominators cleared.
+    sum_i c_ij n^i d^(D - i), over the primitive integer map c_ij of p.
     """
     n, d, top = x0.numerator, x0.denominator, max(p.degree_in(0), 0)
     coeffs = [0] * (max(p.degree_in(1), 0) + 1)
-    for (i, j), c in _integer_terms(p).items():
+    for (i, j), c in p._t.items():
         coeffs[j] += c * n**i * d ** (top - i)
     return coeffs
 

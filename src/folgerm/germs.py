@@ -22,7 +22,6 @@ from typing import NamedTuple, Sequence
 from .localalg import EngineInconsistencyError, StandardBasis, standard_basis
 from .polynomials import (
     Poly,
-    _integer_terms,
     divides_wedge,
     intersection_at_origin,
     is_squarefree,
@@ -288,13 +287,14 @@ def _cancelling_probe(P: Poly, Q: Poly) -> tuple[int, int] | None:
     """The probe (a, b) with a*P_k + b*Q_k = 0 for leading forms of one order k."""
     if P.order() != Q.order():
         return None
-    p, q = P.lowest_form().terms, Q.lowest_form().terms
+    low_p, low_q = P.lowest_form(), Q.lowest_form()
+    p, q = low_p._t, low_q._t
     if p.keys() != q.keys():
         return None
     m = next(iter(p))
-    t = -p[m] / q[m]
-    if t <= 0 or any(p[n] + t * q[n] for n in p):
+    if p[m] * q[m] > 0 or any(p[n] * q[m] != q[n] * p[m] for n in p):
         return None
+    t = low_p._c * -p[m] / (low_q._c * q[m])
     return (t.denominator, t.numerator)
 
 
@@ -343,7 +343,7 @@ def _generic_polar(f: FoliationGerm, against: Sequence[CurveGerm]) -> PolarCerti
     require_isolated(f)
     count = sum(c.order for c in against) + 3
     cancelling = _cancelling_probe(f.P, f.Q)
-    cones = [_integer_terms(c.poly.lowest_form()) for c in against]
+    cones = [c.poly.lowest_form()._t for c in against]
 
     def special(probe: tuple[int, int]) -> bool:
         a, b = probe

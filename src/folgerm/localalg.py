@@ -31,26 +31,21 @@ row space are unique up to scale, so the pivot rows cut off at N give the
 same coordinates as any elimination of the rows cut off at N.
 
 The rows read only integer coefficients, orders and degrees, so each
-generator enters as its primitive integer term map: its coefficients times
-the lcm of their denominators, divided by their gcd, with no ``Fraction``
-arithmetic.  A nonzero scale of a generator changes neither the row space
-nor the staircase, so the coordinates of every class come out the same.
+generator enters as the primitive integer term map that ``Poly`` stores.  A
+nonzero scale of a generator changes neither the row space nor the
+staircase, so a class is read on the map of its polynomial and scaled by
+its content once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import add
 from typing import Iterable, Sequence
 
 from .linalg import _reduced_echelon, sparse_int_echelon
-from .polynomials import (  # noqa: F401
-    EngineInconsistencyError,
-    Monomial,
-    Poly,
-    _integer_terms,
-)
+from .polynomials import EngineInconsistencyError, Monomial, Poly  # noqa: F401
 
 Terms = dict[Monomial, int]
 
@@ -73,12 +68,7 @@ def _integer_generators(gens: Iterable[Poly]) -> list[Terms]:
         raise ValueError("need at least one nonzero generator")
     if any(g.nvars != 2 for g in nonzero):
         raise ValueError("local quotients need generators in two variables")
-    out = []
-    for g in nonzero:
-        terms = _integer_terms(g)
-        content = gcd(*terms.values())
-        out.append({m: c // content for m, c in terms.items()} if content > 1 else terms)
-    return out
+    return [g._t for g in nonzero]
 
 
 def _echelon(gens: list[Terms], degrees: int) -> tuple[dict[int, dict[int, int]], int | None]:
@@ -169,10 +159,9 @@ class StandardBasis:
             raise ValueError("arity mismatch")
         if self.truncation is None:
             raise ValueError("canonical coordinates need a finite quotient")
-        scale, terms = _scaled_terms(p)
-        d, out = self._scaled_coordinates(terms, (0,) * self.nvars)
-        basis = self.quotient_basis
-        return {basis[i]: Fraction(v, d * scale) for i, v in out.items() if v}
+        d, out = self._scaled_coordinates(p._t, (0,) * self.nvars)
+        num, den, basis = p._c.numerator, p._c.denominator * d, self.quotient_basis
+        return {basis[i]: Fraction(num * v, den) for i, v in out.items() if v}
 
     def normal_form(self, p: Poly) -> Poly:
         """Canonical representative on the staircase; zero exactly for members."""
@@ -180,12 +169,6 @@ class StandardBasis:
 
     def contains(self, p: Poly) -> bool:
         return self.normal_form(p).is_zero
-
-
-def _scaled_terms(p: Poly) -> tuple[int, Terms]:
-    """(s, t): s * p has the integer term map t, s the lcm of p's denominators."""
-    scale = lcm(*(c.denominator for _, c in p.items()))
-    return scale, _integer_terms(p, scale)
 
 
 def standard_basis(gens: Iterable[Poly]) -> StandardBasis:
@@ -250,14 +233,13 @@ def mult_operator(sb: StandardBasis, f: Poly) -> QuotientOperator:
     monomial; an entry is a ``Fraction`` only where it is not an integer."""
     if sb.quotient_dim() is None:
         raise ValueError("multiplication operator needs a finite quotient")
-    scale, terms = _scaled_terms(f)
+    num, den = f._c.numerator, f._c.denominator
     columns = []
     for b in sb.quotient_basis:
-        d, out = sb._scaled_coordinates(terms, b)
-        d *= scale
-        columns.append(
-            {i: v // d if v % d == 0 else Fraction(v, d) for i, v in out.items() if v}
-        )
+        d, out = sb._scaled_coordinates(f._t, b)
+        d *= den
+        columns.append({i: v // d if v % d == 0 else Fraction(v, d)
+                        for i, v in ((i, num * v) for i, v in out.items() if v)})
     return QuotientOperator(sb.quotient_basis, columns)
 
 

@@ -1,9 +1,12 @@
 """Exact multivariate polynomials over the rationals.
 
-A polynomial in 2 or 3 variables is stored sparsely as a map from exponent
-tuples to nonzero ``Fraction`` coefficients.  Variables are named ``x, y``
-(arity 2) or ``x, y, z`` (arity 3).  All arithmetic is exact; nothing in this
-module ever touches floating point.
+A polynomial in 2 or 3 variables is a pair (c, T): a positive ``Fraction``
+content c times a primitive integer term map T (exponent tuples to nonzero
+ints with gcd 1); zero is (0, {}).  The pair is unique, so equality and
+hashing compare it.  By Gauss's lemma a product of primitive polynomials is
+primitive, so a product is c1*c2 times T1*T2 with no gcd; a sum takes one
+content gcd.  Every exact layer reads T directly.  Variables are named
+``x, y`` (arity 2) or ``x, y, z`` (arity 3); nothing touches floating point.
 
 Printing uses a fixed term order (total degree, then lexicographic with
 ``x > y > z``, highest first) so that ``str`` output is canonical and survives
@@ -21,12 +24,11 @@ from math import gcd as _int_gcd
 from math import lcm as _lcm
 from math import log10 as _log10
 from operator import add as _add
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 Monomial = tuple[int, ...]
 
 VAR_NAMES = ("x", "y", "z")
-
 
 class EngineInconsistencyError(RuntimeError):
     """An internal cross-check failed: two exact routes to one fact disagreed."""
@@ -46,9 +48,9 @@ def _print_key(monomial: Monomial) -> tuple:
 
 
 class Poly:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial: ``_c`` times ``_t``, as in the module docstring."""
 
-    __slots__ = ("nvars", "_terms", "_hash")
+    __slots__ = ("nvars", "_c", "_t", "_hash")
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, Fraction | int] | None = None):
         if nvars not in (2, 3):
@@ -60,24 +62,27 @@ class Poly:
             value = Fraction(coeff)
             if value:
                 clean[tuple(monomial)] = value
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hash", None)
+        scale = _lcm(*(c.denominator for c in clean.values()))
+        ints = {m: c.numerator * (scale // c.denominator) for m, c in clean.items()}
+        canonical = Poly._of(nvars, ints, 1, scale)
+        self.nvars, self._c, self._t, self._hash = nvars, canonical._c, canonical._t, None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: dict[Monomial, Fraction]) -> Poly:
-        """Wrap ``terms`` as is: tuple keys of length ``nvars``, nonzero Fractions.
-
-        For arithmetic results, whose coefficients are already clean; the
-        public constructor keeps every check.
-        """
+    def _raw(cls, nvars: int, content: Fraction, ints: dict[Monomial, int]) -> Poly:
+        """Wrap a pair that is already canonical."""
         poly = object.__new__(cls)
-        object.__setattr__(poly, "nvars", nvars)
-        object.__setattr__(poly, "_terms", terms)
-        object.__setattr__(poly, "_hash", None)
+        poly.nvars, poly._c, poly._t, poly._hash = nvars, content, ints, None
         return poly
+
+    @classmethod
+    def _of(cls, nvars: int, ints: dict[Monomial, int], num: int = 1, den: int = 1) -> Poly:
+        """(num/den) * ints, for num/den > 0 and ints with no zero value."""
+        g = _int_gcd(*ints.values())
+        if g > 1:
+            ints = {m: v // g for m, v in ints.items()}
+        return cls._raw(nvars, Fraction(num * g, den), ints)
 
     @classmethod
     def zero(cls, nvars: int) -> Poly:
@@ -85,56 +90,51 @@ class Poly:
 
     @classmethod
     def constant(cls, nvars: int, value: Fraction | int) -> Poly:
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> Poly:
-        exponents = [0] * nvars
-        exponents[index] = 1
-        return cls(nvars, {tuple(exponents): Fraction(1)})
+        return cls(nvars, {tuple(int(i == index) for i in range(nvars)): 1})
 
     @classmethod
     def monomial(cls, exponents: Monomial, coeff: Fraction | int = 1) -> Poly:
-        return cls(len(exponents), {tuple(exponents): Fraction(coeff)})
+        return cls(len(exponents), {tuple(exponents): coeff})
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
-        return dict(self._terms)
+        c = self._c
+        return {m: c * v for m, v in self._t.items()}
 
     def items(self):
-        return self._terms.items()
+        return self.terms.items()
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._t)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._t
 
     def coefficient(self, monomial: Monomial) -> Fraction:
-        return self._terms.get(tuple(monomial), Fraction(0))
+        return self._c * self._t.get(tuple(monomial), 0)
 
     def constant_term(self) -> Fraction:
-        return self._terms.get((0,) * self.nvars, Fraction(0))
+        return self._c * self._t.get((0,) * self.nvars, 0)
 
     def total_degree(self) -> int:
         """Maximal total degree of a term; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(sum(m) for m in self._terms)
+        return max(map(sum, self._t), default=-1)
 
     def order(self) -> int:
         """Minimal total degree of a term (the multiplicity at the origin)."""
-        if not self._terms:
+        if not self._t:
             raise ValueError("the zero polynomial has no order")
-        return min(sum(m) for m in self._terms)
+        return min(sum(m) for m in self._t)
 
     def degree_in(self, var: int) -> int:
-        if not self._terms:
-            return -1
-        return max(m[var] for m in self._terms)
+        return max((m[var] for m in self._t), default=-1)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -142,22 +142,29 @@ class Poly:
         if self.nvars != other.nvars:
             raise ValueError(f"arity mismatch: {self.nvars} vs {other.nvars}")
 
-    def __add__(self, other: Poly | Fraction | int) -> Poly:
+    def _plus(self, other: Poly | Fraction | int, sign: int) -> Poly:
+        """self + sign * other, on the integer scale of both contents."""
         if not isinstance(other, Poly):
             other = Poly.constant(self.nvars, other)
         self._check_arity(other)
-        terms = _add_terms(dict(self._terms), other._terms.items())
-        return Poly._trusted(self.nvars, terms)
+        if not other._t:
+            return self
+        if not self._t:
+            return other if sign > 0 else -other
+        scale, (a, b) = _common_scale((self, other))
+        ints = _add_terms(dict(a), ((m, sign * v) for m, v in b.items()))
+        return Poly._of(self.nvars, ints, 1, scale)
+
+    def __add__(self, other: Poly | Fraction | int) -> Poly:
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly._trusted(self.nvars, {m: -c for m, c in self._terms.items()})
+        return Poly._raw(self.nvars, self._c, {m: -v for m, v in self._t.items()})
 
     def __sub__(self, other: Poly | Fraction | int) -> Poly:
-        if not isinstance(other, Poly):
-            other = Poly.constant(self.nvars, other)
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other: Fraction | int) -> Poly:
         return Poly.constant(self.nvars, other) - self
@@ -165,12 +172,14 @@ class Poly:
     def __mul__(self, other: Poly | Fraction | int) -> Poly:
         if not isinstance(other, Poly):
             value = Fraction(other)
-            if not value:
+            if not value or not self._t:
                 return Poly.zero(self.nvars)
-            scaled = {m: c * value for m, c in self._terms.items()}
-            return Poly._trusted(self.nvars, scaled)
+            ints = self._t if value > 0 else {m: -v for m, v in self._t.items()}
+            return Poly._raw(self.nvars, self._c * abs(value), ints)
         self._check_arity(other)
-        return Poly._trusted(self.nvars, _add_product({}, self._terms, other._terms))
+        if not (self._t and other._t):
+            return Poly.zero(self.nvars)
+        return Poly._raw(self.nvars, self._c * other._c, _add_product({}, self._t, other._t))
 
     __rmul__ = __mul__
 
@@ -185,124 +194,112 @@ class Poly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.nvars == other.nvars and self._terms == other._terms
+        return self.nvars == other.nvars and self._c == other._c and self._t == other._t
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hash((self.nvars, frozenset(self._terms.items())))
-            )
+            self._hash = hash((self.nvars, self._c, frozenset(self._t.items())))
         return self._hash
 
     # -- calculus and structure -------------------------------------------
 
     def diff(self, var: int) -> Poly:
-        result: dict[Monomial, Fraction] = {}
-        for monomial, coeff in self._terms.items():
-            e = monomial[var]
-            if e == 0:
-                continue
-            lowered = list(monomial)
-            lowered[var] = e - 1
-            result[tuple(lowered)] = coeff * e
-        return Poly._trusted(self.nvars, result)
+        return Poly._of(self.nvars, _diff(self._t, var), self._c.numerator, self._c.denominator)
 
     def shift(self, offsets: Iterable[Fraction | int]) -> Poly:
         """Translate: substitute ``x_i + offset_i`` for each variable.
 
-        One variable at a time, in integers.  With offset p/q, the terms that
-        agree off variable v form f(v) = sum c_b v^b; over D, the lcm of the
-        denominators of the c_b, and with B = deg f, the integer polynomial
-        g(u) = sum D c_b q^(B-b) u^b satisfies f(v + p/q) = g(qv + p) / (D q^B).
-        So a Taylor shift of g by p gives the v^k coefficient h_k / (D q^(B-k)).
+        One variable v at a time, on the integer map.  With offset p/q, the
+        terms that agree off v form f(v) = sum t_b v^b.  For the least e with
+        q^(b-e) dividing every t_b of degree b > e, g(u) = sum t_b q^(e-b) u^b
+        = q^e f(u/q) has integer coefficients and f(v + p/q) = g(qv + p) / q^e.
+        So a Taylor shift of g by p gives h_k, the v^k coefficient is
+        h_k q^k / q^e, and the content is divided by q^e.  After a translation
+        of a reduction chain, e is well below the degree.  One gcd at the end
+        makes the map primitive.
         """
-        terms = self._terms
+        ints, scale = self._t, 1
         for var, value in enumerate(offsets):
             value = Fraction(value)
-            if not value:
+            if not value or not ints:
                 continue
             p, q = value.numerator, value.denominator
-            groups: dict[Monomial, dict[int, Fraction]] = {}
-            for monomial, coeff in terms.items():
-                rest = monomial[:var] + (0,) + monomial[var + 1:]
-                groups.setdefault(rest, {})[monomial[var]] = coeff
-            shifted: dict[Monomial, Fraction] = {}
+            top = max(m[var] for m in ints)
+            powers = [q**k for k in range(top + 1)]
+            e, groups = 0, {}
+            for monomial, v in ints.items():
+                b = monomial[var]
+                while e < b and v % powers[b - e]:
+                    e += 1
+                groups.setdefault(monomial[:var] + (0,) + monomial[var + 1:], {})[b] = v
+            shifted: dict[Monomial, int] = {}
             for rest, column in groups.items():
-                top = max(column)
-                scale = _lcm(*(c.denominator for c in column.values()))
-                g = [0] * (top + 1)
-                for b, c in column.items():
-                    g[b] = c.numerator * (scale // c.denominator) * q ** (top - b)
-                for i in range(top):
-                    for j in range(top - 1, i - 1, -1):
+                n = max(column)
+                g = [0] * (n + 1)
+                for b, v in column.items():
+                    g[b] = v * powers[e - b] if b <= e else v // powers[b - e]
+                for i in range(n):
+                    for j in range(n - 1, i - 1, -1):
                         g[j] += p * g[j + 1]
                 for k, h in enumerate(g):
                     if h:
-                        key = rest[:var] + (k,) + rest[var + 1:]
-                        shifted[key] = Fraction(h, scale * q ** (top - k))
-            terms = shifted
-        return self if terms is self._terms else Poly._trusted(self.nvars, terms)
+                        shifted[rest[:var] + (k,) + rest[var + 1:]] = h * powers[k]
+            ints, scale = shifted, scale * powers[e]
+        if ints is self._t:
+            return self
+        return Poly._of(self.nvars, ints, self._c.numerator, self._c.denominator * scale)
 
     def evaluate(self, point: Iterable[Fraction | int]) -> Fraction:
         values = [Fraction(v) for v in point]
         if len(values) != self.nvars:
             raise ValueError("point arity mismatch")
         total = Fraction(0)
-        for monomial, coeff in self._terms.items():
-            product = coeff
+        for monomial, product in self._t.items():
             for value, e in zip(values, monomial):
                 product *= value**e
             total += product
-        return total
+        return self._c * total
 
     def lowest_form(self) -> Poly:
         """Homogeneous part of minimal total degree (the initial form)."""
         low = self.order()
-        terms = {m: c for m, c in self._terms.items() if sum(m) == low}
-        return Poly._trusted(self.nvars, terms)
+        ints = {m: v for m, v in self._t.items() if sum(m) == low}
+        return Poly._of(self.nvars, ints, self._c.numerator, self._c.denominator)
 
     def is_homogeneous(self) -> bool:
-        if not self._terms:
-            return True
-        degrees = {sum(m) for m in self._terms}
-        return len(degrees) == 1
+        return len(set(map(sum, self._t))) <= 1
 
     # -- normalization -----------------------------------------------------
 
     def content(self) -> Fraction:
         """Positive rational c with self/c integer-primitive; 0 for zero."""
-        if not self._terms:
-            return Fraction(0)
-        coeffs = self._terms.values()
-        return Fraction(_int_gcd(*(c.numerator for c in coeffs)),
-                        _lcm(*(c.denominator for c in coeffs)))
+        return self._c
 
     def primitive(self) -> Poly:
         """Integer-primitive scalar multiple with positive printed lead."""
-        if not self._terms:
+        if not self._t:
             return self
-        scaled = self * (1 / self.content())
-        lead = min(scaled._terms, key=_print_key)
-        if scaled._terms[lead] < 0:
-            scaled = -scaled
-        return scaled
+        ints = self._t
+        if ints[min(ints, key=_print_key)] < 0:
+            ints = {m: -v for m, v in ints.items()}
+        return Poly._raw(self.nvars, Fraction(1), ints)
 
     # -- printing ----------------------------------------------------------
 
     def to_string(self) -> str:
-        if not self._terms:
+        if not self._t:
             return "0"
         names = VAR_NAMES[: self.nvars]
         pieces: list[str] = []
-        for monomial in sorted(self._terms, key=_print_key):
-            coeff = self._terms[monomial]
+        for monomial in sorted(self._t, key=_print_key):
+            v = self._t[monomial]
             factors = []
             for name, e in zip(names, monomial):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
                     factors.append(f"{name}^{e}")
-            magnitude = abs(coeff)
+            magnitude = self._c * abs(v)
             if not factors:
                 body = str(magnitude)
             elif magnitude == 1:
@@ -310,9 +307,9 @@ class Poly:
             else:
                 body = "*".join([str(magnitude)] + factors)
             if not pieces:
-                pieces.append(body if coeff > 0 else f"-{body}")
+                pieces.append(body if v > 0 else f"-{body}")
             else:
-                pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+                pieces.append(f"+ {body}" if v > 0 else f"- {body}")
         return " ".join(pieces)
 
     def __str__(self) -> str:
@@ -322,8 +319,23 @@ class Poly:
         return f"Poly({self.nvars}, {self.to_string()!r})"
 
 
-def _add_terms(result: dict[Monomial, Fraction],
-               pairs: Iterable[tuple[Monomial, Fraction]]) -> dict[Monomial, Fraction]:
+def _diff(ints: dict[Monomial, int], var: int) -> dict[Monomial, int]:
+    """The derivative of an integer term map in variable ``var``."""
+    return {m[:var] + (m[var] - 1,) + m[var + 1:]: v * m[var] for m, v in ints.items() if m[var]}
+
+
+def _common_scale(polys: Sequence[Poly]) -> tuple[int, list[dict[Monomial, int]]]:
+    """(L, maps): the integer map of L*p for each p; L is the lcm of the contents' denominators."""
+    scale = _lcm(*(p._c.denominator for p in polys))
+    maps = []
+    for p in polys:
+        k = p._c.numerator * (scale // p._c.denominator)
+        maps.append(p._t if k == 1 else {m: k * v for m, v in p._t.items()})
+    return scale, maps
+
+
+def _add_terms(result: dict[Monomial, int],
+               pairs: Iterable[tuple[Monomial, int]]) -> dict[Monomial, int]:
     """Add the (monomial, coefficient) pairs into ``result``, in place."""
     for key, value in pairs:
         total = result.get(key, 0) + value
@@ -334,8 +346,8 @@ def _add_terms(result: dict[Monomial, Fraction],
     return result
 
 
-def _add_product(result: dict[Monomial, Fraction], a: Mapping[Monomial, Fraction],
-                 b: Mapping[Monomial, Fraction]) -> dict[Monomial, Fraction]:
+def _add_product(result: dict[Monomial, int], a: Mapping[Monomial, int],
+                 b: Mapping[Monomial, int]) -> dict[Monomial, int]:
     """Add the product of the term maps a and b into ``result``, in place."""
     for m1, c1 in a.items():
         for m2, c2 in b.items():
@@ -359,25 +371,28 @@ def _add_product(result: dict[Monomial, Fraction], a: Mapping[Monomial, Fraction
 # identifier other than a variable name; it must be bound to a rational in
 # the ``parameters`` mapping and is substituted during parsing.  Blanks are
 # spaces and tabs.  Groups nest at most MAX_NESTING deep, so that the descent
-# stays far inside Python's recursion limit.  A power of a number has at most
-# MAX_POWER_DIGITS digits, the most CPython 3.11 converts from a literal, so
-# that ``3^99999999999`` is refused at once instead of computed for ever.
+# stays far inside Python's recursion limit.  A number, a power of a number
+# and each numerator and denominator of a coefficient has at most
+# MAX_POWER_DIGITS digits, the most CPython (3.10.7 on) converts to text, so
+# ``3^99999999999`` is refused at once and every report can print.
 
 _BLANKS = re.compile(r"[ \t]*")
 MAX_NESTING = 100
 MAX_POWER_DIGITS = 4300
+_DIGIT_LIMIT = 10**MAX_POWER_DIGITS
 
 
 class _Parser:
     """Recursive descent over the grammar above, on integer atoms.
 
     An atom (a rational, parameter or variable) is an integer numerator,
-    denominator and exponent list.  A term multiplies its atoms' integers
-    and makes one ``Fraction`` at its end, and only a parenthesised group is
-    a Poly; every term is added into one dict.  ``pos`` always rests on a
-    non-blank: each step past a token skips the blanks after it with one
-    compiled pattern.  An error reports the column of the offending
-    character, or the end of the digits for a zero denominator.
+    denominator and exponent list.  A term multiplies its atoms' integers,
+    only a parenthesised group is a Poly, and an expression adds its terms
+    over one common denominator.  ``pos`` always rests on a non-blank: each
+    step past a token skips the blanks after it with one compiled pattern.
+    An error reports the column of the offending character, the end of the
+    digits for a zero denominator, or the start of the last term of a
+    coefficient with too many digits.
     """
 
     def __init__(self, text: str, nvars: int, parameters: Mapping[str, Fraction]):
@@ -404,18 +419,29 @@ class _Parser:
         return value
 
     def parse_expr(self) -> Poly:
-        total: dict[Monomial, Fraction] = {}
+        terms: list[tuple[Monomial, int, int, int]] = []
         sign = 1
         if (ch := self.peek()) in ("+", "-"):
             sign = -1 if ch == "-" else 1
             self.advance(self.pos + 1)
-        self.add_term(total, sign)
+        self.add_term(terms, sign)
         while (ch := self.peek()) in ("+", "-"):
             self.advance(self.pos + 1)
-            self.add_term(total, -1 if ch == "-" else 1)
-        return Poly._trusted(self.nvars, total)
+            self.add_term(terms, -1 if ch == "-" else 1)
+        scale = _lcm(*(den for _, _, den, _ in terms))
+        total = _add_terms({}, ((m, num * (scale // den)) for m, num, den, _ in terms))
+        value = Poly._of(self.nvars, total, 1, scale)
+        starts = {m: start for m, _, _, start in terms}
+        for monomial, v in value._t.items():
+            coeff = value._c * v
+            if max(abs(coeff.numerator), coeff.denominator) >= _DIGIT_LIMIT:
+                raise PolyParseError(f"coefficient has more than {MAX_POWER_DIGITS} digits",
+                                     starts[monomial])
+        return value
 
-    def add_term(self, total: dict[Monomial, Fraction], sign: int) -> None:
+    def add_term(self, terms: list[tuple[Monomial, int, int, int]], sign: int) -> None:
+        """Append the next term as (monomial, numerator, denominator, start column)."""
+        start = self.pos
         num, den, exponents, group = sign, 1, [0] * self.nvars, None
         while True:
             factor = self.parse_factor()
@@ -429,11 +455,12 @@ class _Parser:
             if self.peek() != "*":
                 break
             self.advance(self.pos + 1)
-        coeff = Fraction(num, den)
         if group is None:
-            _add_terms(total, ((tuple(exponents), coeff),))
+            terms.append((tuple(exponents), num, den, start))
         else:
-            _add_product(total, {tuple(exponents): coeff}, group._terms)
+            num, den = num * group._c.numerator, den * group._c.denominator
+            terms.extend((tuple(map(_add, exponents, m)), num * v, den, start)
+                         for m, v in group._t.items())
 
     def parse_factor(self) -> Poly | tuple[int, int, list[int]]:
         base = self.parse_base()
@@ -509,6 +536,8 @@ class _Parser:
             end += 1
         if start == end:
             raise self.error("expected an exponent")
+        if end - start > MAX_POWER_DIGITS:
+            raise self.error(f"number has more than {MAX_POWER_DIGITS} digits")
         self.pos = end
         return int(text[start:end])
 
@@ -521,12 +550,6 @@ def parse_poly(
 
 
 # -- divisibility and the coprimality certificate --------------------------
-
-
-def _integer_terms(p: Poly, scale: int = 0) -> dict[Monomial, int]:
-    """scale * p as ints, by default with scale the lcm of p's denominators."""
-    scale = scale or _lcm(*(c.denominator for c in p._terms.values()))
-    return {m: c.numerator * (scale // c.denominator) for m, c in p._terms.items()}
 
 
 def _exact_quotient(numerator: dict[Monomial, int],
@@ -558,20 +581,16 @@ def _exact_quotient(numerator: dict[Monomial, int],
 def try_exact_div(numerator: Poly, denominator: Poly) -> Poly | None:
     """Return ``numerator / denominator`` when the division is exact.
 
-    With numerator = N/s for the lcm s of its denominators and denominator =
-    c*D for its content c, the quotient is (N/D) / (s*c), and N/D comes from
-    one exact division over Z (``_exact_quotient``).
+    The contents divide as rationals and the primitive maps over Z by
+    ``_exact_quotient``, whose quotient is primitive by Gauss's lemma.
     """
     if denominator.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     numerator._check_arity(denominator)
-    content = denominator.content()
-    divisor = _integer_terms(denominator * (1 / content))
-    quotient = _exact_quotient(_integer_terms(numerator), divisor)
+    quotient = _exact_quotient(numerator._t, denominator._t)
     if quotient is None:
         return None
-    scale = 1 / (_lcm(*(c.denominator for c in numerator._terms.values())) * content)
-    return Poly._trusted(numerator.nvars, {m: v * scale for m, v in quotient.items()})
+    return Poly._raw(numerator.nvars, numerator._c / denominator._c, quotient)
 
 
 def divides(denominator: Poly, numerator: Poly) -> bool:
@@ -582,14 +601,12 @@ def divides_wedge(curve: Poly, coefficients: tuple[Poly, ...]) -> bool:
     """Whether the curve divides omega ^ d(curve), for omega = sum c_i dx_i.
 
     The wedge has the coefficients c_i f_j - c_j f_i (i < j) for the partials
-    f_i of the curve f.  They are formed over Z, with the denominators of the
-    c_i cleared by one common scale and f made primitive, which changes no
-    divisibility, and each is decided by ``_exact_quotient``.
+    f_i of the curve f.  They are formed over Z, with the c_i on one common
+    integer scale and f primitive, which changes no divisibility, and each is
+    decided by ``_exact_quotient``.
     """
-    scale = _lcm(*(c.denominator for p in coefficients for c in p._terms.values()))
-    rows = [_integer_terms(p, scale) for p in coefficients]
-    g = curve.primitive()
-    f, grad = _integer_terms(g), [_integer_terms(g.diff(v)) for v in range(g.nvars)]
+    (_, rows), f = _common_scale(coefficients), curve._t
+    grad = [_diff(f, v) for v in range(curve.nvars)]
     for i, j in combinations(range(len(rows)), 2):
         minor = _add_product({}, rows[i], grad[j])
         _add_product(minor, {m: -c for m, c in rows[j].items()}, grad[i])
@@ -603,8 +620,8 @@ _CERT_POINTS = (7, 1234567, 98765431)
 
 
 def _image_mod_p(p: Poly) -> dict[Monomial, int]:
-    """Coefficients of p times the lcm of its denominators, reduced mod the prime."""
-    return {m: c % _CERT_PRIME for m, c in _integer_terms(p).items()}
+    """The primitive integer map of p, reduced mod the prime."""
+    return {m: c % _CERT_PRIME for m, c in p._t.items()}
 
 
 def _specialize(image: dict[Monomial, int], var: int, values: tuple[int, ...],
@@ -637,10 +654,10 @@ def _euclid_mod_p(f: list[int], g: list[int]) -> list[int]:
 def _coprime_mod_p(a: Poly, b: Poly) -> bool:
     """Whether the images of a and b modulo a prime prove them coprime.
 
-    Clear the denominators and let p = 2^31 - 1.  For each variable v in
-    which both a and b have positive degree, give the other variables their
-    slots of (t, t + 1) (two variables) or (t, t^2 + 1, 3t + 5) (three), for
-    t in ``_CERT_POINTS`` in turn, until both v-leading coefficients are
+    Take the primitive integer maps and let p = 2^31 - 1.  For each variable
+    v in which both a and b have positive degree, give the other variables
+    their slots of (t, t + 1) (two variables) or (t, t^2 + 1, 3t + 5)
+    (three), for t in ``_CERT_POINTS`` in turn, until both v-leading coefficients are
     nonzero mod p and the two images have a constant gcd in F_p[v].  These
     points lie on no common ray, which for homogeneous input would be one
     projective line, sunk for every t by one common zero on it.
@@ -681,10 +698,11 @@ def dehomogenize(p: Poly, axis: int) -> Poly:
     if p.nvars != 3:
         raise ValueError("dehomogenize expects a 3-variable polynomial")
     i, j = [k for k in range(3) if k != axis]
-    terms = {(m[i], m[j]): c for m, c in p._terms.items()}
-    if len(terms) < len(p._terms):
-        terms = _add_terms({}, (((m[i], m[j]), c) for m, c in p._terms.items()))
-    return Poly._trusted(2, terms)
+    terms = {(m[i], m[j]): v for m, v in p._t.items()}
+    if len(terms) == len(p._t):
+        return Poly._raw(2, p._c, terms)
+    terms = _add_terms({}, (((m[i], m[j]), v) for m, v in p._t.items()))
+    return Poly._of(2, terms, p._c.numerator, p._c.denominator)
 
 
 # -- resultants and gcds over Z[x] and Z[x][y] -----------------------------
@@ -724,8 +742,15 @@ def _zx_pow(a: list[int], n: int) -> list[int]:
 
 
 def _zx_div(a: list[int], b: list[int]) -> list[int]:
-    """The quotient a / b in Z[x], for a b that the caller knows divides a."""
-    a = list(a)
+    """The quotient a / b in Z[x], for a b that the caller knows divides a.
+
+    The power of x that divides b must divide a; both are stripped of it
+    first, so a power of x costs one pass and not a schoolbook division.
+    """
+    shift = next(i for i, v in enumerate(b) if v)
+    if any(a[:shift]):
+        raise EngineInconsistencyError("a division in Z[x] is not exact")
+    a, b = a[shift:], b[shift:]
     q = [0] * max(len(a) - len(b) + 1, 0)
     for k in reversed(range(len(q))):
         q[k] = c = a[k + len(b) - 1] // b[-1]
@@ -816,9 +841,9 @@ def _resultant(a: list[list[int]], b: list[list[int]]) -> list[int]:
 
 
 def _sheared(p: Poly, c: int) -> list[list[int]]:
-    """p(x + c*y, y) in Z[x][y], times the lcm of p's denominators."""
+    """p(x + c*y, y) in Z[x][y], over the content of p."""
     rows: dict[int, dict[int, int]] = {}
-    for (i, j), v in _integer_terms(p).items():
+    for (i, j), v in p._t.items():
         for k in range(i + 1) if c else (i,):
             row = rows.setdefault(j + i - k, {})
             row[k] = row.get(k, 0) + v * _comb(i, k) * c ** (i - k)
@@ -848,7 +873,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     A coprime pair, nearly every pair the callers pass, is settled by
     ``_coprime_mod_p`` in one modular pass; it returns only what the exact
     route returns for a coprime pair, the constant 1.  The exact route works
-    in Z[x][y], with denominators cleared.  By Gauss's lemma a gcd there is
+    in Z[x][y], on the primitive integer maps.  By Gauss's lemma a gcd there is
     the gcd in Z[x] of the contents (the gcds of the y-coefficients) times
     the gcd of the primitive parts f, g.  For deg_y f >= deg_y g the
     pseudo-remainder r = lc(g)^k f - q g leaves the primitive common
@@ -875,7 +900,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if _coprime_mod_p(a, b):
         return Poly.constant(nvars, 1)
     if nvars == 3:
-        low = min(m[2] for p in (a, b) for m in p._terms)
+        low = min(m[2] for p in (a, b) for m in p._t)
         a, b = dehomogenize(a, 2), dehomogenize(b, 2)
     (ca, f), (cb, g) = (_zxy_primitive(_sheared(p, 0)) for p in (a, b))
     if len(f) < len(g):
@@ -889,7 +914,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if nvars == 3:
         top = max(map(sum, terms)) + low
         terms = {(i, j, top - i - j): v for (i, j), v in terms.items()}
-    return Poly(nvars, terms).primitive()
+    return Poly._of(nvars, terms).primitive()
 
 
 def is_squarefree(p: Poly) -> bool:
@@ -921,7 +946,7 @@ def is_squarefree(p: Poly) -> bool:
     if combination and _coprime_mod_p(p, combination):
         return True
     if p.nvars == 3:
-        if min(m[2] for m in p._terms) >= 2:
+        if min(m[2] for m in p._t) >= 2:
             return False
         p = dehomogenize(p, 2)
     if p.total_degree() == 0:

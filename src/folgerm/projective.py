@@ -36,7 +36,6 @@ from .germs import (
 from .polynomials import (
     EngineInconsistencyError,
     Poly,
-    _integer_terms,
     _resultant,
     _sheared,
     dehomogenize,
@@ -171,9 +170,9 @@ class ProjectivePoint(NamedTuple):
 
 
 def _restrict_to_infinity(p: Poly) -> list[int]:
-    """Coefficients of p(t, 1, 0) by power of t, with p's denominators cleared."""
+    """Coefficients of p(t, 1, 0) by power of t, over the content of p."""
     coeffs = [0] * (max(p.degree_in(0), 0) + 1)
-    for (i, j, k), c in _integer_terms(p).items():
+    for (i, j, k), c in p._t.items():
         if k == 0:
             coeffs[i] += c
     return coeffs
@@ -196,8 +195,8 @@ def _line_roots(first: list[int], second: list[int]) -> list[Fraction]:
 def _affine_common_zeros(a: Poly, b: Poly) -> list[tuple[Fraction, Fraction]]:
     """All rational common zeros of a coprime pair in two variables.
 
-    The caller guarantees coprimality (see ``singular_points``).  With
-    denominators cleared, the eliminant is Res_y(a, b) in Z[x], from the
+    The caller guarantees coprimality (see ``singular_points``).  On the
+    primitive integer maps, the eliminant is Res_y(a, b) in Z[x], from the
     subresultant sequence of ``polynomials``, or the x-polynomial of a member
     constant in y.  It vanishes at the x-coordinate of every common zero and
     is nonzero for a coprime pair.  Its rational roots are the candidates,

@@ -450,6 +450,15 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "numeric power has more than 4300 digits (at column 7)" in err
 
+    def test_coefficient_past_the_digit_bound(self, capsys, tmp_path):
+        doc = tmp_path / "coefficient.fol"
+        doc.write_text("[foliation]\nP = -y\nQ = x\n[divisor]\nzero = 3^9000*3^9000*x*y\n")
+        for command in ("check-bs", "invariants"):
+            code, out, err = run(capsys, command, doc)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "zero: coefficient has more than 4300 digits (at column 1)" in err
+
     def test_check_needs_divisor(self, capsys, tmp_path):
         doc = tmp_path / "nodivisor.fol"
         doc.write_text("[foliation]\nP = -y\nQ = x\n")

@@ -34,6 +34,7 @@ CASES = [
         ("node.fol", LOCAL_COMMANDS),
         ("radial.fol", LOCAL_COMMANDS),
         ("omega_lambda.fol", ("projective-validate", "projective-global")),
+        ("chain22.fol", ("invariants", "reduce")),
     )
     for command in commands
     for mode in ("txt", "json")

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import comb, gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,12 @@ MALFORMED = [
     ("y + 3^99999999999", 2, "numeric power has more than 4300 digits", 6),
     ("x*lam ^ 99999999999", 2, "numeric power has more than 4300 digits", 8),
     ("1/7^9999*x", 2, "numeric power has more than 4300 digits", 4),
+    ("3^9000*3^9000*x*y", 2, "coefficient has more than 4300 digits", 0),
+    ("x + (3^5000*y + 1)^2", 2, "coefficient has more than 4300 digits", 4),
+    ("x - 1/3^5000*1/3^5000*y", 2, "coefficient has more than 4300 digits", 4),
+    ("x*(y - 3^5000*3^5000)", 2, "coefficient has more than 4300 digits", 7),
+    pytest.param("y + " + "1" * 4301 + "*x", 2, "number has more than 4300 digits", 4,
+                 id="long-number"),
 ]
 
 
@@ -162,6 +169,18 @@ class TestParse:
         assert P("x^99999999999").terms == {(99999999999, 0): 1}
         with pytest.raises(PolyParseError, match="more than 4300 digits"):
             P("10^4300")
+
+    def test_coefficient_digit_bound(self):
+        # the bound is on the coefficients returned: 4,300 digits pass, a sum
+        # that reaches 4,301 is refused at the term that reached it, and a
+        # product that cancels is never returned
+        nines = "9" * 4300
+        assert P(f"{nines}*x").terms == {(1, 0): 10**4300 - 1}
+        assert P(f"1/{nines}*x").content() == Fraction(1, 10**4300 - 1)
+        with pytest.raises(PolyParseError) as err:
+            P(f"{nines}*x + y + {nines}*x")
+        assert err.value.position == 4309
+        assert P("3^3000*3^3000*x + y - 3^3000*3^3000*x") == P("y")
 
     def test_basic_terms(self):
         p = P("x^2 + 3/4*x*y")
@@ -310,6 +329,171 @@ class TestArithmetic:
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValueError, match="arity"):
             P("x") + P("x", nvars=3)
+
+
+def _schoolbook_div(a, b):
+    """The quotient and remainder of a by b over Q, lowest power first."""
+    a, q = [Fraction(v) for v in a], [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in reversed(range(len(q))):
+        q[k] = a[k + len(b) - 1] / b[-1]
+        for j, v in enumerate(b):
+            a[k + j] -= q[k] * v
+    return q, a
+
+
+class TestZxDiv:
+    """Exact division in Z[x] against schoolbook division, with planted x-powers."""
+
+    def test_matches_schoolbook_division(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            b = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))] + [rng.randint(1, 9)]
+            q = [rng.randint(-9, 9) for _ in range(rng.randint(0, 6))] + [rng.randint(1, 9)]
+            b = [0] * rng.randint(0, 40) + b
+            q = [0] * rng.randint(0, 40) + q
+            a = polynomials._zx_mul(b, q)
+            quotient, remainder = _schoolbook_div(a, b)
+            assert not any(remainder)
+            assert polynomials._zx_div(a, b) == q == quotient
+
+    def test_power_of_x(self):
+        assert polynomials._zx_div([0] * 8847 + [6], [0] * 4287 + [-3]) == [0] * 4560 + [-2]
+
+    def test_inexact_division_raises(self):
+        rng = random.Random(43)
+        for _ in range(100):
+            b = [0] * rng.randint(0, 5) + [rng.randint(1, 9), rng.randint(-9, 9), 1]
+            a = polynomials._zx_mul(b, [rng.randint(1, 9), rng.randint(-9, 9)])
+            a[rng.randrange(len(a))] += rng.choice((-1, 1))
+            if any(_schoolbook_div(a, b)[1]):
+                with pytest.raises(EngineInconsistencyError, match="not exact"):
+                    polynomials._zx_div(a, b)
+        # a nonzero entry below the x-power of the divisor
+        with pytest.raises(EngineInconsistencyError, match="not exact"):
+            polynomials._zx_div([1, 0, 0, 5], [0, 0, 1])
+
+
+_MODEL_COEFFS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 8))
+
+
+def _model_terms(nvars):
+    exponent = st.tuples(*[st.integers(0, 3)] * nvars)
+    return st.dictionaries(exponent, _MODEL_COEFFS, max_size=5).map(
+        lambda t: {m: c for m, c in t.items() if c})
+
+
+def _model_add(a, b, sign=1):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+def _model_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            key = tuple(i + j for i, j in zip(m1, m2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _model_shift(a, offsets):
+    """Substitute x_i + offset_i, by the binomial theorem in every variable."""
+    out = {}
+    for m, c in a.items():
+        partial = {(): c}
+        for e, s in zip(m, offsets):
+            partial = {key + (k,): value * comb(e, k) * s ** (e - k)
+                       for key, value in partial.items() for k in range(e + 1)}
+        out = _model_add(out, partial)
+    return out
+
+
+def _model_content(a):
+    if not a:
+        return Fraction(0)
+    return Fraction(gcd(*(c.numerator for c in a.values())),
+                    lcm(*(c.denominator for c in a.values())))
+
+
+class TestReferenceModel:
+    """Every operation of Poly against a plain dict-of-Fraction model.
+
+    Each result must also be stored canonically: a positive content and a
+    primitive integer term map (the zero polynomial as 0 and no terms).
+    """
+
+    @staticmethod
+    def _canonical(p):
+        if p.is_zero:
+            assert p.content() == 0 and not p._t
+        else:
+            assert p._c > 0 and gcd(*p._t.values()) == 1
+            assert all(type(v) is int and v for v in p._t.values())
+        return p
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(st.sampled_from((2, 3)).flatmap(lambda n: st.tuples(
+        st.just(n), _model_terms(n), _model_terms(n),
+        st.lists(_MODEL_COEFFS, min_size=n, max_size=n))),
+        _MODEL_COEFFS, st.integers(0, 3))
+    def test_operations_match_the_model(self, case, scalar, power):
+        nvars, a, b, offsets = case
+        p, q = Poly(nvars, a), Poly(nvars, b)
+        check = self._canonical
+        assert check(p).terms == a
+        assert check(p + q).terms == _model_add(a, b)
+        assert check(p - q).terms == _model_add(a, b, -1)
+        assert check(-p).terms == {m: -c for m, c in a.items()}
+        assert check(p * q).terms == _model_mul(a, b)
+        assert check(p * scalar).terms == {m: c * scalar for m, c in a.items() if scalar}
+        assert check(scalar * p + 1).terms == _model_add(
+            {m: c * scalar for m, c in a.items() if scalar}, {(0,) * nvars: Fraction(1)})
+        expected = {(0,) * nvars: Fraction(1)}
+        for _ in range(power):
+            expected = _model_mul(expected, a)
+        assert check(p**power).terms == expected
+        for var in range(nvars):
+            derivative = {}
+            for m, c in a.items():
+                if m[var]:
+                    key = m[:var] + (m[var] - 1,) + m[var + 1:]
+                    derivative[key] = c * m[var]
+            assert check(p.diff(var)).terms == derivative
+        assert check(p.shift(offsets)).terms == _model_shift(a, offsets)
+        assert check(p.shift(offsets).shift([-s for s in offsets])) == p
+        if a:
+            low = min(map(sum, a))
+            assert check(p.lowest_form()).terms == {
+                m: c for m, c in a.items() if sum(m) == low}
+        content = _model_content(a)
+        assert p.content() == content
+        if a:
+            lead = min(a, key=lambda m: (-sum(m), tuple(-e for e in m)))
+            sign = 1 if a[lead] > 0 else -1
+            assert check(p.primitive()).terms == {m: c * sign / content for m, c in a.items()}
+        if nvars == 3:
+            for axis in range(3):
+                rest = [k for k in range(3) if k != axis]
+                flat = {}
+                for m, c in a.items():
+                    key = (m[rest[0]], m[rest[1]])
+                    flat[key] = flat.get(key, 0) + c
+                assert check(dehomogenize(p, axis)).terms == {
+                    m: c for m, c in flat.items() if c}
+        assert parse_poly(str(p), nvars) == p
+        assert parse_poly(str(p * q - q), nvars) == p * q - q
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(_model_terms(2), _model_terms(2), _MODEL_COEFFS)
+    def test_equal_polynomials_hash_equal(self, a, b, scalar):
+        p, q = Poly(2, a), Poly(2, b)
+        routes = [p, p + q - q, (p * scalar) * (1 / scalar) if scalar else p,
+                  Poly(2, {m: c for m, c in (p * 2).terms.items()}) * Fraction(1, 2)]
+        for other in routes:
+            assert other == p and hash(other) == hash(p)
+            assert (other._c, other._t) == (p._c, p._t)
 
 
 class TestStructure:
