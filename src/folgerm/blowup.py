@@ -17,7 +17,10 @@ The reduction driver is one loop over a stack of points.  It visits them
 depth first and blows each one up until every point of the total transform is
 in one of the final positions: a nondegenerate singularity whose eigenvalue
 ratio is not a positive rational, a saddle-node, a regular point crossing a
-dicritical component transversally, or a clean corner.  Nothing but the
+dicritical component transversally, or a clean corner.  These decisions read
+the primitive integer maps of the pair (``classify_point`` reads the linear
+part on one integer scale), and a ``Fraction`` is made only for a ratio or
+direction that a report prints.  Nothing but the
 blow-up budget (``--max-blowups``) bounds the length of a chain.  Singular
 points are located as rational roots of a one-variable polynomial along the
 exceptional line.  The root search lifts the roots modulo a small prime
@@ -147,55 +150,39 @@ class PointClassification(NamedTuple):
         return self.kind in ("nondegenerate", "saddle_node")
 
 
-def _sqrt_exact(value: Fraction) -> Fraction | None:
-    if value < 0:
-        return None
-    num, den = value.numerator, value.denominator
-    rn = math.isqrt(num)
-    rd = math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
 def classify_point(P: Poly, Q: Poly) -> PointClassification:
     """Classify the dual vector field ``(-Q, P)`` at the origin.
 
     Nondegenerate points report the eigenvalue ratio when it is rational,
     normalised so the absolute value is at least 1.  A ratio that lies in the
     positive rationals (including a defective ratio-1 node) is not simple and
-    forces another blow-up.
+    forces another blow-up.  The linear part is read from the integer maps on
+    one positive scale, which keeps the ratio, the weak direction and the
+    signs of det and trace; only a returned value is made a ``Fraction``.
     """
-    if P.constant_term() != 0 or Q.constant_term() != 0:
+    if (0, 0) in P._t or (0, 0) in Q._t:
         return PointClassification("smooth")
-    a = -Q.coefficient((1, 0))
-    b = -Q.coefficient((0, 1))
-    c = P.coefficient((1, 0))
-    d = P.coefficient((0, 1))
-    tr = a + d
-    det = a * d - b * c
+    kp = P._c.numerator * Q._c.denominator
+    kq = Q._c.numerator * P._c.denominator
+    a, b = -kq * Q._t.get((1, 0), 0), -kq * Q._t.get((0, 1), 0)
+    c, d = kp * P._t.get((1, 0), 0), kp * P._t.get((0, 1), 0)
+    tr, det = a + d, a * d - b * c
     if det == 0:
         if tr == 0:
             return PointClassification("non_simple")
-        if (a, b) != (0, 0):
-            v0, v1 = b, -a
-        else:
-            v0, v1 = d, -c
-        if v0 != 0:
-            weak = (Fraction(1), Fraction(v1, v0))
-        else:
-            weak = (Fraction(0), Fraction(1))
+        v0, v1 = (b, -a) if (a, b) != (0, 0) else (d, -c)
+        weak = (Fraction(1), Fraction(v1, v0)) if v0 else (Fraction(0), Fraction(1))
         return PointClassification("saddle_node", weak_direction=weak)
-    # Ratios r of the two eigenvalues satisfy det*r^2 - (tr^2-2det)*r + det.
+    # The ratios r of the two eigenvalues solve det*r^2 - bb*r + det = 0, so
+    # they multiply to 1: both are positive exactly when bb/det is.
     bb = tr * tr - 2 * det
-    root = _sqrt_exact(bb * bb - 4 * det * det)
-    if root is None:
+    disc = bb * bb - 4 * det * det
+    if disc < 0 or (root := math.isqrt(disc)) ** 2 != disc:
         return PointClassification("nondegenerate", ratio=None)
-    r1 = (bb + root) / (2 * det)
-    r2 = (bb - root) / (2 * det)
-    if r1 > 0 or r2 > 0:
+    if bb * det > 0:
         return PointClassification("non_simple")
-    return PointClassification("nondegenerate", ratio=min(r1, r2))
+    low = bb - root if det > 0 else bb + root
+    return PointClassification("nondegenerate", ratio=Fraction(low, 2 * det))
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +363,13 @@ def reduce_germ(germ, max_blowups: int = MAX_BLOWUPS_DEFAULT) -> ReductionResult
         P, Q, t, cx, cy = stack.pop()
         if t:
             P, Q = P.shift((0, t)), Q.shift((0, t))
-        singular = P.constant_term() == 0 and Q.constant_term() == 0
+        singular = (0, 0) not in P._t and (0, 0) not in Q._t
         dx = cx > 0 and components[cx - 1].dicritical
         dy = cy > 0 and components[cy - 1].dicritical
         if dx or dy:
             # A regular point crossing one dicritical line is final unless it
             # is tangent: the velocity along the line's conormal vanishes.
-            tangent = (Q if dx else P).constant_term() == 0
+            tangent = (0, 0) not in (Q if dx else P)._t
             if not (dx and dy or singular or tangent):
                 continue
         elif not singular:

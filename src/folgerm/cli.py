@@ -30,6 +30,7 @@ from .documents import (
     load_local_problem,
     load_projective_problem,
     parse_document,
+    parse_rational,
     render_document,
 )
 from .germs import divisor_invariants, milnor_foliation, multiplicity
@@ -101,12 +102,7 @@ def _parse_overrides(pairs: list[str]) -> dict[str, Fraction]:
         name = name.strip()
         if not sep or not name:
             raise DocumentError(f"--param needs NAME=VALUE, got {pair!r}")
-        try:
-            overrides[name] = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DocumentError(
-                f"--param {name}: {value.strip()!r} is not a rational number"
-            ) from exc
+        overrides[name] = parse_rational(value.strip(), f"--param {name}")
     return overrides
 
 

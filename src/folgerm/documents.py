@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from .germs import BalancedEquation, CurveGerm, FoliationGerm
-from .polynomials import VAR_NAMES, Poly, parse_poly
+from .polynomials import MAX_POWER_DIGITS, VAR_NAMES, Poly, parse_poly
 from .projective import ProjectivePoint
 
 Sections = dict[str, dict[str, str]]
@@ -75,6 +75,26 @@ def render_document(sections: Mapping[str, Mapping[str, str]]) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
+def parse_rational(text: str, what: str) -> Fraction:
+    """``Fraction(text)``, refused first when it has too many digits.
+
+    ``Fraction`` computes 10^|e| for an exponent e, so ``1e999999999`` would
+    not end in practice.  The digits of the mantissa plus |e| are held to
+    ``MAX_POWER_DIGITS``, as the parser holds ``10^e``.  ``what`` names the
+    parameter or point in the ``DocumentError``.
+    """
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0") or "0"
+    digits = sum(c.isdecimal() for c in mantissa)
+    if exponent.isdecimal() and (len(exponent) > len(str(MAX_POWER_DIGITS))
+                                 or digits + int(exponent) > MAX_POWER_DIGITS):
+        raise DocumentError(f"{what}: {text!r} has more than {MAX_POWER_DIGITS} digits")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DocumentError(f"{what}: {text!r} is not a rational number") from exc
+
+
 def read_parameters(
     sections: Sections, overrides: Mapping[str, Fraction] | None = None
 ) -> dict[str, Fraction]:
@@ -83,14 +103,8 @@ def read_parameters(
     A name the polynomial parser cannot read as a parameter is an error,
     not a silently unused value.
     """
-    params: dict[str, Fraction] = {}
-    for key, value in sections.get("parameters", {}).items():
-        try:
-            params[key] = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DocumentError(
-                f"parameter {key!r}: {value!r} is not a rational number"
-            ) from exc
+    params = {key: parse_rational(value, f"parameter {key!r}")
+              for key, value in sections.get("parameters", {}).items()}
     if overrides:
         params.update(overrides)
     for name in params:
@@ -147,10 +161,10 @@ def _parse_points(value: str) -> list[ProjectivePoint]:
         parts = [p.strip() for p in chunk.split(":")]
         if len(parts) != 3:
             raise DocumentError(f"point {chunk!r} is not a triple x : y : z")
+        coords = [parse_rational(p, f"point {chunk!r}") for p in parts]
         try:
-            coords = [Fraction(p) for p in parts]
             points.append(ProjectivePoint.of(*coords))
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise DocumentError(f"point {chunk!r}: {exc}") from exc
     if not points:
         raise DocumentError("the points key lists no points")

@@ -113,9 +113,7 @@ class FoliationGerm:
 
     @property
     def is_singular(self) -> bool:
-        return (
-            self.P.constant_term() == 0 and self.Q.constant_term() == 0
-        )
+        return (0, 0) not in self.P._t and (0, 0) not in self.Q._t
 
     def components(self) -> tuple[Poly, Poly]:
         return (self.P, self.Q)
@@ -132,7 +130,7 @@ class CurveGerm:
     def __init__(self, poly: Poly):
         if poly.is_zero:
             raise ValueError("the zero polynomial does not define a curve")
-        if poly.constant_term() != 0:
+        if (0,) * poly.nvars in poly._t:
             raise ValueError("curve germ must pass through the origin")
         object.__setattr__(self, "poly", poly)
 
@@ -265,7 +263,7 @@ def intersection_multiplicity(f: Poly, g: Poly) -> int:
     """
     if f.is_zero or g.is_zero:
         raise ValueError("intersection with the zero polynomial")
-    if f.constant_term() != 0 or g.constant_term() != 0:
+    if (0,) * f.nvars in f._t or (0,) * g.nvars in g._t:
         raise ValueError("both curves must pass through the origin")
     value = intersection_at_origin(f, g)
     if value is None:

@@ -118,9 +118,11 @@ class Poly:
         return not self._t
 
     def coefficient(self, monomial: Monomial) -> Fraction:
+        """The rational coefficient, for callers that print it; decisions read ``_t``."""
         return self._c * self._t.get(tuple(monomial), 0)
 
     def constant_term(self) -> Fraction:
+        """The rational value at the origin, for callers that print it."""
         return self._c * self._t.get((0,) * self.nvars, 0)
 
     def total_degree(self) -> int:
@@ -171,7 +173,7 @@ class Poly:
 
     def __mul__(self, other: Poly | Fraction | int) -> Poly:
         if not isinstance(other, Poly):
-            value = Fraction(other)
+            value = other if isinstance(other, int) else Fraction(other)
             if not value or not self._t:
                 return Poly.zero(self.nvars)
             ints = self._t if value > 0 else {m: -v for m, v in self._t.items()}
@@ -432,9 +434,11 @@ class _Parser:
         total = _add_terms({}, ((m, num * (scale // den)) for m, num, den, _ in terms))
         value = Poly._of(self.nvars, total, 1, scale)
         starts = {m: start for m, _, _, start in terms}
+        n, d = value._c.numerator, value._c.denominator
         for monomial, v in value._t.items():
-            coeff = value._c * v
-            if max(abs(coeff.numerator), coeff.denominator) >= _DIGIT_LIMIT:
+            # n*v/d in lowest terms is (n*v/g)/(d/g) for g = gcd(v, d)
+            g = _int_gcd(v, d)
+            if max(abs(n * v) // g, d // g) >= _DIGIT_LIMIT:
                 raise PolyParseError(f"coefficient has more than {MAX_POWER_DIGITS} digits",
                                      starts[monomial])
         return value
@@ -494,7 +498,7 @@ class _Parser:
             self.depth -= 1
             return inner
         exponents = [0] * self.nvars
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             numerator, denominator = self.parse_nat(), 1
             self.advance(self.pos)
             if self.peek() == "/":
@@ -532,7 +536,7 @@ class _Parser:
         """The digits at ``pos``; leaves ``pos`` at their end."""
         text, start = self.text, self.pos
         end = start
-        while end < len(text) and text[end].isdigit():
+        while end < len(text) and "0" <= text[end] <= "9":
             end += 1
         if start == end:
             raise self.error("expected an exponent")
@@ -941,9 +945,10 @@ def is_squarefree(p: Poly) -> bool:
         raise ValueError("squarefreeness of the zero polynomial is undefined")
     if p.nvars == 3 and not p.is_homogeneous():
         raise ValueError("three-variable squarefreeness needs homogeneous input")
-    partials = [p.diff(var) for var in range(p.nvars)]
-    combination = sum((d * w for d, w in zip(partials, (1, 3, 9))), Poly.zero(p.nvars))
-    if combination and _coprime_mod_p(p, combination):
+    combination: dict[Monomial, int] = {}
+    for var, w in zip(range(p.nvars), (1, 3, 9)):
+        _add_terms(combination, ((m, w * v) for m, v in _diff(p._t, var).items()))
+    if combination and _coprime_mod_p(p, Poly._of(p.nvars, combination)):
         return True
     if p.nvars == 3:
         if min(m[2] for m in p._t) >= 2:
@@ -995,7 +1000,7 @@ def intersection_at_origin(f: Poly, g: Poly) -> int | None:
     """
     if f.nvars != 2 or g.nvars != 2:
         raise ValueError("intersection numbers need two variables")
-    if f.constant_term() or g.constant_term():
+    if (0, 0) in f._t or (0, 0) in g._t:
         return 0
     if f.is_zero or g.is_zero:
         return None
@@ -1019,7 +1024,7 @@ def intersection_at_origin(f: Poly, g: Poly) -> int | None:
         common = poly_gcd(f, g)
         if common.total_degree() == 0:
             continue
-        if common.constant_term() == 0:
+        if (0, 0) not in common._t:
             return None
         f, g = try_exact_div(f, common), try_exact_div(g, common)
         c = 0

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -125,6 +126,87 @@ class TestClassification:
 
     def test_nilpotent(self):
         assert classify_point(P("-3*x + 2*y^2"), P("2*x*y")).kind == "non_simple"
+
+
+def reference_classification(p, q):
+    """classify_point written on ``Fraction`` coefficients, as a reference."""
+    if p.constant_term() != 0 or q.constant_term() != 0:
+        return ("smooth", None, None)
+    a, b = -q.coefficient((1, 0)), -q.coefficient((0, 1))
+    c, d = p.coefficient((1, 0)), p.coefficient((0, 1))
+    tr, det = a + d, a * d - b * c
+    if det == 0:
+        if tr == 0:
+            return ("non_simple", None, None)
+        v0, v1 = (b, -a) if (a, b) != (0, 0) else (d, -c)
+        weak = (Fraction(1), v1 / v0) if v0 != 0 else (Fraction(0), Fraction(1))
+        return ("saddle_node", None, weak)
+    bb = tr * tr - 2 * det
+    disc = bb * bb - 4 * det * det
+    num, den = disc.numerator, disc.denominator
+    if disc < 0 or math.isqrt(num) ** 2 != num or math.isqrt(den) ** 2 != den:
+        return ("nondegenerate", None, None)
+    root = Fraction(math.isqrt(num), math.isqrt(den))
+    r1, r2 = (bb + root) / (2 * det), (bb - root) / (2 * det)
+    if r1 > 0 or r2 > 0:
+        return ("non_simple", None, None)
+    return ("nondegenerate", min(r1, r2), None)
+
+
+HUGE = Fraction(2**400, 3**250)
+
+
+class TestClassificationAgainstReference:
+    CONTENTS = (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-7, 3), HUGE, -1 / HUGE)
+
+    def draw(self, rng, linear):
+        terms = {m: rng.randint(-9, 9) for m in linear}
+        if rng.random() < 0.1:
+            terms[(0, 0)] = rng.randint(-3, 3)
+        for _ in range(rng.randint(0, 3)):
+            i = rng.randint(0, 4)
+            terms[(i, rng.randint(max(0, 2 - i), 4 - i))] = rng.randint(-9, 9)
+        return Poly(2, terms) * rng.choice(self.CONTENTS)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_and_ignores_a_common_scale(self, seed):
+        rng = random.Random(9100 + seed)
+        kinds = set()
+        for _ in range(400):
+            # small entries make square discriminants and zero determinants common
+            linear = rng.sample([(1, 0), (0, 1)], rng.randint(0, 2))
+            p, q = self.draw(rng, linear), self.draw(rng, rng.sample([(1, 0), (0, 1)], 2))
+            cls = classify_point(p, q)
+            assert tuple(cls) == reference_classification(p, q)
+            scale = rng.choice(self.CONTENTS) * rng.choice((1, -3, Fraction(5, 11)))
+            assert classify_point(p * scale, q * scale) == cls
+            kinds.add(cls.kind)
+        assert kinds == {"smooth", "nondegenerate", "saddle_node", "non_simple"}
+
+    @pytest.mark.parametrize(
+        "p, q, kind, ratio, weak",
+        [
+            # dual field (x + y, y): a defective node of ratio 1
+            ("y", "-x - y", "non_simple", None, None),
+            # (x, y^2): v0 = b = 0, the weak direction is the y-axis
+            ("y^2", "-x", "saddle_node", None, (0, 1)),
+            # (x + 2y, -x - 2y + ...): v = (b, -a) = (2, -1)
+            ("-x - 2*y + x^3", "-x - 2*y", "saddle_node", None, (1, Fraction(-1, 2))),
+            # (0, 3x + y): (a, b) = (0, 0), so v = (d, -c) = (1, -3)
+            ("3*x + y", "y^2", "saddle_node", None, (1, -3)),
+            # ratio (3 +- sqrt(5))/2
+            ("x + 2*y", "-x - y", "nondegenerate", None, None),
+            # eigenvalues 1 and 3: a positive rational ratio
+            ("3*y", "-x", "non_simple", None, None),
+            # eigenvalues 2 and -3 on a huge content
+            ("-3*y + x^2", "-2*x", "nondegenerate", Fraction(-3, 2), None),
+        ],
+    )
+    def test_explicit_cases(self, p, q, kind, ratio, weak):
+        for scale in (1, HUGE, -1 / HUGE):
+            cls = classify_point(P(p) * scale, P(q) * scale)
+            assert (cls.kind, cls.ratio, cls.weak_direction) == (kind, ratio, weak)
+            assert tuple(cls) == reference_classification(P(p) * scale, P(q) * scale)
 
 
 class TestRationalRoots:

@@ -81,6 +81,21 @@ class TestDocuments:
         problem = load_projective_problem(sections)
         assert [str(p) for p in problem.points] == ["[1 : 0 : 0]", "[0 : 1 : 0]"]
 
+    def test_rational_digit_bound_in_parameters_and_points(self):
+        # Fraction("1e99999999") would compute 10^99999999 before any bound
+        text = "[foliation]\nP = lam*y\nQ = x\n[parameters]\nlam = 1e4299\n"
+        assert load_local_problem(parse_document(text)).germ.P == parse_poly("y", 2) * 10**4299
+        for value in ("1e4300", "1e99999999", "1" * 4301):
+            sections = parse_document(text.replace("1e4299", value))
+            with pytest.raises(DocumentError) as err:
+                load_local_problem(sections)
+            assert str(err.value) == f"parameter 'lam': {value!r} has more than 4300 digits"
+        sections = parse_document(
+            "[projective]\nA = y*z\nB = 2*x*z\nC = -3*x*y\npoints = 1:0:0; 1e-99999999:1:0\n"
+        )
+        with pytest.raises(DocumentError, match=r"^point '1e-99999999:1:0': '1e-99999999' has mo"):
+            load_projective_problem(sections)
+
     def test_bad_point_rejected(self):
         sections = parse_document(
             "[projective]\nA = y*z\nB = 2*x*z\nC = -3*x*y\npoints = 1:0\n"
@@ -407,6 +422,25 @@ class TestExitCodes:
         assert err.startswith(f"error: cannot write {target}: ")
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not target.parent.exists()
+
+    def test_rational_digit_bound_in_param(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "check-bs", FIXTURES / "cusp.fol", "--param", "lam=1e999999999"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --param lam: '1e999999999' has more than 4300 digits\n"
+        doc = tmp_path / "lam.fol"
+        doc.write_text("[foliation]\nP = lam*y\nQ = x\n[parameters]\nlam = 1e99999999\n")
+        code, out, err = run(capsys, "invariants", doc)
+        assert (code, out) == (2, "")
+        assert err == "error: parameter 'lam': '1e99999999' has more than 4300 digits\n"
+
+    def test_non_ascii_digit_is_an_input_error_with_a_column(self, capsys, tmp_path):
+        doc = tmp_path / "digits.fol"
+        doc.write_text("[foliation]\nP = -y\nQ = x^²\n", encoding="utf-8")
+        code, out, err = run(capsys, "invariants", doc)
+        assert (code, out) == (2, "")
+        assert err == "error: [foliation] Q: expected an exponent (at column 3)\n"
 
     def test_bad_param(self, capsys):
         code, _, err = run(

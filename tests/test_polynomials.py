@@ -134,6 +134,8 @@ MALFORMED = [
     ("x + (3^5000*y + 1)^2", 2, "coefficient has more than 4300 digits", 4),
     ("x - 1/3^5000*1/3^5000*y", 2, "coefficient has more than 4300 digits", 4),
     ("x*(y - 3^5000*3^5000)", 2, "coefficient has more than 4300 digits", 7),
+    ("x^²", 2, "expected an exponent", 2),
+    ("٣*x", 2, "unexpected character '٣'", 0),
     pytest.param("y + " + "1" * 4301 + "*x", 2, "number has more than 4300 digits", 4,
                  id="long-number"),
 ]
