@@ -7,10 +7,9 @@ random input, so this script does exactly that, with a fixed seed so a
 rerun reproduces the same corpus.
 
 First: the dimension of a finite quotient ring read off the certified
-staircase must agree with the rank count of truncated power-series
-(Macaulay) matrices taken on a second truncation schedule.  Both read the
-same Macaulay rows, so this checks the Nakayama certificate and the
-schedule, not two independent engines.
+staircase must agree with the intersection number from the resultant,
+ord_x Res_y(p, q) after a shear.  The two routes share no code: one
+eliminates Macaulay rows, the other runs a subresultant sequence over Z[x].
 
 Second: for an exact form df the multiplication by f on the Milnor
 algebra squares to zero, its kernel has dimension tau and its rank is
@@ -25,13 +24,12 @@ from folgerm import (
     CurveGerm,
     FoliationGerm,
     milnor_foliation,
-    stabilized_macaulay_dim,
     standard_basis,
     tjurina_foliation,
 )
 from folgerm.linalg import bareiss_rank
 from folgerm.localalg import mult_operator
-from folgerm.polynomials import Poly, is_squarefree
+from folgerm.polynomials import Poly, intersection_at_origin, is_squarefree
 
 
 def random_poly(rng, max_degree, max_terms, min_order):
@@ -48,7 +46,7 @@ def random_poly(rng, max_degree, max_terms, min_order):
             return p
 
 
-# --- staircase dimension vs. series oracle -----------------------------
+# --- staircase dimension vs. resultant oracle --------------------------
 rng = random.Random(20260823)
 agreements, skipped = 0, 0
 while agreements < 25:
@@ -58,10 +56,10 @@ while agreements < 25:
     if dim is None:
         skipped += 1
         continue
-    oracle = stabilized_macaulay_dim([p, q])
+    oracle = intersection_at_origin(p, q)
     assert oracle == dim, (p, q, dim, oracle)
     agreements += 1
-print("staircase == series oracle on %d random ideals "
+print("staircase == resultant oracle on %d random ideals "
       "(%d infinite quotients skipped)" % (agreements, skipped))
 
 # --- rank-nullity on exact forms ---------------------------------------

@@ -1,11 +1,11 @@
 """Exact local invariants of plane foliation germs.
 
-Everything is computed exactly over the rationals; a polynomial is a
-rational content times a primitive integer term map: standard bases of local ideals, Milnor and Tjurina numbers,
-polar intersection certificates, blow-up reduction of singularities, and
-the global count of singular points of a degree-``d`` foliation of the
-projective plane.  The submodules stay importable on their own; this
-namespace re-exports the pieces most sessions start from.
+Everything is computed exactly over the rationals: standard bases of local
+ideals, Milnor and Tjurina numbers, polar intersection certificates, blow-up
+reduction of singularities, and the global count of singular points of a
+degree-``d`` foliation of the projective plane.  A polynomial is a rational
+content times a primitive integer term map.  The submodules stay importable
+on their own; this namespace re-exports the pieces most sessions start from.
 """
 
 from .blowup import (
@@ -37,11 +37,7 @@ from .germs import (
     tjurina_curve,
     tjurina_foliation,
 )
-from .localalg import (
-    EngineInconsistencyError,
-    stabilized_macaulay_dim,
-    standard_basis,
-)
+from .localalg import EngineInconsistencyError, standard_basis
 from .polynomials import Poly, parse_poly
 from .projective import (
     EulerRelationError,
@@ -103,7 +99,6 @@ __all__ = [
     "reduce_germ",
     "render_document",
     "singular_points",
-    "stabilized_macaulay_dim",
     "standard_basis",
     "tangency_excess",
     "tjurina_curve",

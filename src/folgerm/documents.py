@@ -76,13 +76,17 @@ def render_document(sections: Mapping[str, Mapping[str, str]]) -> str:
 
 
 def parse_rational(text: str, what: str) -> Fraction:
-    """``Fraction(text)``, refused first when it has too many digits.
+    """``Fraction(text)``, refused first when it is not ASCII or has too many digits.
 
+    ``Fraction`` reads any Unicode digit, as in ``٣/٤``, which the polynomial
+    parser refuses, so non-ASCII text is not a rational number here either.
     ``Fraction`` computes 10^|e| for an exponent e, so ``1e999999999`` would
     not end in practice.  The digits of the mantissa plus |e| are held to
     ``MAX_POWER_DIGITS``, as the parser holds ``10^e``.  ``what`` names the
     parameter or point in the ``DocumentError``.
     """
+    if not text.isascii():
+        raise DocumentError(f"{what}: {text!r} is not a rational number")
     mantissa, _, exponent = text.lower().partition("e")
     exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0") or "0"
     digits = sum(c.isdecimal() for c in mantissa)

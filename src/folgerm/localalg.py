@@ -35,6 +35,10 @@ generator enters as the primitive integer term map that ``Poly`` stores.  A
 nonzero scale of a generator changes neither the row space nor the
 staircase, so a class is read on the map of its polynomial and scaled by
 its content once.
+
+This elimination is the only one here.  The independent check of a
+colength is the resultant route, ``polynomials.intersection_at_origin``,
+which shares no code with it.
 """
 
 from __future__ import annotations
@@ -71,18 +75,19 @@ def _integer_generators(gens: Iterable[Poly]) -> list[Terms]:
     return [g._t for g in nonzero]
 
 
-def _echelon(gens: list[Terms], degrees: int) -> tuple[dict[int, dict[int, int]], int | None]:
-    """The pivot rows and N, from the uncut rows of lowest degree < ``degrees``.
+def _echelon(gens: list[Terms]) -> tuple[dict[int, dict[int, int]], int | None]:
+    """The pivot rows and N, from the uncut rows by lowest degree.
 
     The rows enter by lowest degree, every term kept, and the elimination
-    stops at the first degree N whose columns are all pivots; without one
-    below ``degrees``, N is None.  Below any degree M the pivot columns are
-    those of the rows cut off at M (the projection argument above), so no
-    truncation is chosen.
+    stops at the first degree N whose columns are all pivots; without one up
+    to the Bezout bound d^2, N is None (infinite quotient).  Below any degree
+    M the pivot columns are those of the rows cut off at M (the projection
+    argument above), so no truncation is chosen.
     """
     orders = [min(map(sum, terms)) for terms in gens]
+    bezout = max(sum(m) for terms in gens for m in terms) ** 2
     pivots: dict[int, dict[int, int]] = {}
-    for d in range(degrees):
+    for d in range(bezout + 1):
         rows = []
         for terms, order in zip(gens, orders):
             room = d - order
@@ -167,9 +172,6 @@ class StandardBasis:
         """Canonical representative on the staircase; zero exactly for members."""
         return Poly(self.nvars, self.reduce_to_coordinates(p))
 
-    def contains(self, p: Poly) -> bool:
-        return self.normal_form(p).is_zero
-
 
 def standard_basis(gens: Iterable[Poly]) -> StandardBasis:
     """Certified local quotient by the ideal of ``gens``.
@@ -178,9 +180,7 @@ def standard_basis(gens: Iterable[Poly]) -> StandardBasis:
     at the first degree N with no free column, or past the Bezout bound d^2
     with a quotient still rising (infinite quotient).
     """
-    gens = _integer_generators(gens)
-    bezout = max(sum(m) for terms in gens for m in terms) ** 2
-    return StandardBasis(*_echelon(gens, bezout + 1))
+    return StandardBasis(*_echelon(_integer_generators(gens)))
 
 
 class QuotientOperator:
@@ -243,41 +243,10 @@ def mult_operator(sb: StandardBasis, f: Poly) -> QuotientOperator:
     return QuotientOperator(sb.quotient_basis, columns)
 
 
-# -- truncation oracle -----------------------------------------------------
-
-
-def macaulay_dim(gens: Sequence[Poly], truncation: int) -> int:
-    """dim O/(I + m^N) for N = ``truncation``: the free columns below N.
-
-    Agrees with the local quotient dimension once N is large enough.  Past
-    the certified degree there is no free column, so the count stops there.
-    """
-    pivots, n = _echelon(_integer_generators(gens), truncation)
-    below = _column(truncation if n is None else n, 0)
-    return sum(1 for c in range(below) if c not in pivots)
-
-
 def stabilized_macaulay_dim(gens: Sequence[Poly]) -> int | None:
-    """Run the truncation oracle until two consecutive values agree.
+    """``standard_basis(gens).quotient_dim()``, under the name the benchmark imports.
 
-    Starts at max(4, 2*maxdeg + 2) and steps by 2.  Equal values at N and
-    N + 2 put m^N inside I (Nakayama), so they are the colength.  A value
-    above the Bezout bound d^2 proves the quotient infinite: the result is
-    then None, as from ``quotient_dim``.  This is a second truncation
-    schedule over the same rows as ``standard_basis``, not an independent
-    check; the package no longer calls it (the ``mu_oracle`` of
-    ``invariants`` comes from ``polynomials.intersection_at_origin``), and
-    it stays for the benchmark's closed-form checks.
+    ``bench/worker.py`` confirms its closed forms through this name and
+    ``bench/tracing.py`` wraps it by name; ROADMAP item 1 deletes it.
     """
-    degree = max(g.total_degree() for g in gens if not g.is_zero)
-    bezout = degree ** 2
-    n = max(4, 2 * degree + 2)
-    previous = None
-    while True:
-        value = macaulay_dim(gens, n)
-        if value > bezout:
-            return None
-        if value == previous:
-            return value
-        previous = value
-        n += 2
+    return standard_basis(gens).quotient_dim()

@@ -121,10 +121,6 @@ class Poly:
         """The rational coefficient, for callers that print it; decisions read ``_t``."""
         return self._c * self._t.get(tuple(monomial), 0)
 
-    def constant_term(self) -> Fraction:
-        """The rational value at the origin, for callers that print it."""
-        return self._c * self._t.get((0,) * self.nvars, 0)
-
     def total_degree(self) -> int:
         """Maximal total degree of a term; -1 for the zero polynomial."""
         return max(map(sum, self._t), default=-1)

@@ -26,12 +26,8 @@ from folgerm.germs import (
     tjurina_foliation,
 )
 from folgerm.linalg import bareiss_rank
-from folgerm.localalg import (
-    mult_operator,
-    stabilized_macaulay_dim,
-    standard_basis,
-)
-from folgerm.polynomials import is_squarefree, parse_poly
+from folgerm.localalg import mult_operator, standard_basis
+from folgerm.polynomials import intersection_at_origin, is_squarefree, parse_poly
 from folgerm.projective import (
     ProjectivePoint,
     check_global_bound,
@@ -192,8 +188,8 @@ def test_criterion_4_global_bound(capsys):
         assert time.perf_counter() - start < 5.0
 
 
-def test_criterion_5_standard_basis_vs_series_oracle(capsys):
-    with criterion(capsys, 5, "quotient dimensions match the series oracle"):
+def test_criterion_5_standard_basis_vs_resultant_oracle(capsys):
+    with criterion(capsys, 5, "quotient dimensions match the resultant oracle"):
         rng = random.Random(20260823)
         checked = 0
         for _ in range(400):
@@ -203,7 +199,7 @@ def test_criterion_5_standard_basis_vs_series_oracle(capsys):
             dim = sb.quotient_dim()
             if dim is None:
                 continue
-            assert stabilized_macaulay_dim([p, q]) == dim
+            assert intersection_at_origin(p, q) == dim
             checked += 1
             if checked == 25:
                 break

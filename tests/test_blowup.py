@@ -130,7 +130,7 @@ class TestClassification:
 
 def reference_classification(p, q):
     """classify_point written on ``Fraction`` coefficients, as a reference."""
-    if p.constant_term() != 0 or q.constant_term() != 0:
+    if p.coefficient((0, 0)) != 0 or q.coefficient((0, 0)) != 0:
         return ("smooth", None, None)
     a, b = -q.coefficient((1, 0)), -q.coefficient((0, 1))
     c, d = p.coefficient((1, 0)), p.coefficient((0, 1))

@@ -442,6 +442,24 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "error: [foliation] Q: expected an exponent (at column 3)\n"
 
+    # Fraction reads Arabic-Indic digits: "\u0663/\u0664" would be 3/4
+    @pytest.mark.parametrize("command, text, extra, error", [
+        ("invariants", "[foliation]\nP = lam*y\nQ = x\n[parameters]\nlam = \u0663/\u0664\n",
+         (), "parameter 'lam': '\u0663/\u0664'"),
+        ("invariants", "[foliation]\nP = lam*y\nQ = x\n[parameters]\nlam = 1\n",
+         ("--param", "lam=\u0663"), "--param lam: '\u0663'"),
+        ("projective-validate",
+         "[projective]\nA = y*z\nB = 2*x*z\nC = -3*x*y\npoints = 1:0:0; \u0663:1:0\n",
+         (), "point '\u0663:1:0': '\u0663'"),
+    ], ids=["parameters", "param", "points"])
+    def test_non_ascii_rational_is_an_input_error(self, capsys, tmp_path, command, text,
+                                                 extra, error):
+        doc = tmp_path / "digits.fol"
+        doc.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, command, doc, *extra)
+        assert (code, out) == (2, "")
+        assert err == f"error: {error} is not a rational number\n"
+
     def test_bad_param(self, capsys):
         code, _, err = run(
             capsys, "check-bs", FIXTURES / "radial.fol", "--param", "lambda"

@@ -228,7 +228,7 @@ class TestParse:
             P("x + y)")
 
     def test_rational_literals(self):
-        assert P("5/2").constant_term() == Fraction(5, 2)
+        assert P("5/2").coefficient((0, 0)) == Fraction(5, 2)
         with pytest.raises(PolyParseError, match="zero denominator"):
             P("1/0")
 
@@ -888,12 +888,28 @@ class TestIntersectionAtOrigin:
         assert intersection_at_origin(Poly.zero(2), P("x")) is None
         with pytest.raises(ValueError, match="two variables"):
             intersection_at_origin(P("x", nvars=3), P("y", nvars=3))
+        for f, g, colength in [("x", "y", 1), ("-3*x^2", "2*y", 2),
+                               ("y^2 - x^3", "y^2 + x^3", 6), ("x", "x*y", None)]:
+            assert intersection_at_origin(P(f), P(g)) == colength
+            assert standard_basis([P(f), P(g)]).quotient_dim() == colength
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(_curve_pairs())
     def test_matches_the_local_engine(self, case):
         f, g, colength = case
         assert intersection_at_origin(f, g) == colength
+
+    def test_matches_the_local_engine_on_a_seeded_corpus(self):
+        rng = random.Random(29)
+        checked = 0
+        while checked < 8:
+            f = random_nonzero_poly(rng, max_degree=3, min_order=1)
+            g = random_nonzero_poly(rng, max_degree=3, min_order=1)
+            dim = standard_basis([f, g]).quotient_dim()
+            if dim is None:
+                continue
+            assert intersection_at_origin(f, g) == dim
+            checked += 1
 
     def test_resultant_is_the_sylvester_determinant(self):
         sympy = pytest.importorskip("sympy")
