@@ -165,6 +165,22 @@ class TestStandardBasis:
         assert sb.quotient_dim() == 5 == intersection_at_origin(P("y^2 - x^3"), P("x*y"))
 
 
+class TestMacaulayOracle:
+    """The colength of the Macaulay elimination against the resultant oracle."""
+
+    def test_stabilized_values(self):
+        for f, g, colength in [("x", "y", 1), ("-3*x^2", "2*y", 2),
+                               ("y^2 - x^3", "y^2 + x^3", 6)]:
+            assert standard_basis([P(f), P(g)]).quotient_dim() == colength
+            assert intersection_at_origin(P(f), P(g)) == colength
+
+    def test_infinite_colength_is_none(self):
+        # x and x*y share the curve x = 0; x alone cuts out a line
+        assert standard_basis([P("x"), P("x*y")]).quotient_dim() is None
+        assert intersection_at_origin(P("x"), P("x*y")) is None
+        assert standard_basis([P("x")]).quotient_dim() is None
+
+
 class TestTruncationFloor:
     def test_independent_linear_parts_certify_at_one(self):
         gens = [P("2*x - y + x*y^3"), P("x + y^2")]

@@ -888,10 +888,6 @@ class TestIntersectionAtOrigin:
         assert intersection_at_origin(Poly.zero(2), P("x")) is None
         with pytest.raises(ValueError, match="two variables"):
             intersection_at_origin(P("x", nvars=3), P("y", nvars=3))
-        for f, g, colength in [("x", "y", 1), ("-3*x^2", "2*y", 2),
-                               ("y^2 - x^3", "y^2 + x^3", 6), ("x", "x*y", None)]:
-            assert intersection_at_origin(P(f), P(g)) == colength
-            assert standard_basis([P(f), P(g)]).quotient_dim() == colength
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(_curve_pairs())
