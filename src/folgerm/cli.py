@@ -1,13 +1,14 @@
-"""Command-line surface: read a problem document, run one check, report.
+"""Command-line surface: read a problem document, run one report, render it.
 
-Every subcommand reads a sectioned key/value document, runs one
-computation, and emits a single report — the same sectioned text format by
-default, JSON with ``--json``.  Reports are deterministic: identical input
-and flags give byte-identical output.  Exit status is 0 for a passing (or
-not-applicable) check, 1 for a failing one, 2 for any input problem
-(unreadable file, malformed document, ill-posed germ), and 4 when two exact
-routes to one fact disagree (``EngineInconsistencyError``), a fault of the
-engine rather than a verdict.
+``COMMANDS`` declares every subcommand once.  The local reports are built in
+``theorems``, the projective ones in ``projective``; this module parses the
+arguments, loads the document, runs the report, renders it (the sectioned
+text format of the documents, or JSON with ``--json``) and picks the exit
+code.  Identical input and flags give byte-identical output.  Exit status is
+0 for a passing (or not-applicable) check, 1 for a failing one, 2 for any
+input problem (unreadable file, malformed document, ill-posed germ), and 4
+when two exact routes to one fact disagree (``EngineInconsistencyError``),
+a fault of the engine rather than a verdict.
 """
 
 from __future__ import annotations
@@ -17,14 +18,9 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
-from .blowup import (
-    MAX_BLOWUPS_DEFAULT,
-    BlowupLimitError,
-    IrrationalSingularPointError,
-    dicritical_report,
-    reduce_germ,
-)
+from .blowup import MAX_BLOWUPS_DEFAULT
 from .documents import (
     DocumentError,
     load_local_problem,
@@ -33,18 +29,60 @@ from .documents import (
     parse_rational,
     render_document,
 )
-from .germs import divisor_invariants, milnor_foliation, multiplicity
-from .polynomials import EngineInconsistencyError, intersection_at_origin
+from .polynomials import EngineInconsistencyError
 from .projective import check_form, check_global_bound, validate_form
 from .theorems import (
-    FAIL,
-    PASS,
     CheckReport,
     check_briancon_skoda,
     check_cota,
     check_liu,
     check_second_type,
+    invariants_report,
+    reduce_report,
 )
+
+
+class Command(NamedTuple):
+    help: str
+    run: Callable[..., CheckReport]  # on (problem, args)
+    local: bool = True  # load_local_problem, else load_projective_problem
+    needs: tuple[str, str] | None = None  # (problem field, error when it is None)
+    blowups: bool = False  # takes --max-blowups
+
+
+_DIVISOR = ("divisor", "this check needs a [divisor] section")
+
+# The runners name the report functions in their bodies, so a function
+# rebound on this module (by a tracer or a test) is the one that runs.
+COMMANDS = {
+    "invariants": Command(
+        "table of local invariants of a foliation germ",
+        lambda p, args: invariants_report(p.germ, p.divisor)),
+    "check-bs": Command(
+        "membership of the squared zero divisor in the germ ideal",
+        lambda p, args: check_briancon_skoda(p.germ, p.divisor), needs=_DIVISOR),
+    "check-liu": Command(
+        "tau <= mu <= 2*tau sandwich for second-type germs",
+        lambda p, args: check_liu(p.germ, p.divisor), needs=_DIVISOR),
+    "check-cota": Command(
+        "balanced-divisor lower bound for mu and 2*tau",
+        lambda p, args: check_cota(p.germ, p.divisor), needs=_DIVISOR),
+    "check-second-type": Command(
+        "absence of tangent saddle-nodes",
+        lambda p, args: check_second_type(p.germ, p.divisor, args.max_blowups),
+        needs=_DIVISOR, blowups=True),
+    "reduce": Command(
+        "reduction of singularities by point blow-ups",
+        lambda p, args: reduce_report(p.germ, args.max_blowups), blowups=True),
+    "projective-validate": Command(
+        "Euler relation, degree, and singular points",
+        lambda p, args: check_form(*p.coefficients, curve=p.curve, points=p.points),
+        local=False),
+    "projective-global": Command(
+        "global Tjurina bound for an invariant curve",
+        lambda p, args: check_global_bound(validate_form(*p.coefficients), p.curve, p.points),
+        local=False, needs=("curve", "projective-global needs a curve key")),
+}
 
 
 @functools.cache
@@ -54,9 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact local and projective invariants of plane foliations",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        cmd = sub.add_parser(name, help=help_text)
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
         cmd.add_argument("document", help="problem description file")
         cmd.add_argument(
             "--param",
@@ -73,25 +110,14 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="PATH",
             help="write the report to PATH instead of standard output",
         )
-        return cmd
-
-    def add_blowups(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument(
-            "--max-blowups",
-            type=int,
-            default=MAX_BLOWUPS_DEFAULT,
-            metavar="N",
-            help="abort reduction after N blow-ups (default %(default)s)",
-        )
-
-    add("invariants", "table of local invariants of a foliation germ")
-    add("check-bs", "membership of the squared zero divisor in the germ ideal")
-    add("check-liu", "tau <= mu <= 2*tau sandwich for second-type germs")
-    add("check-cota", "balanced-divisor lower bound for mu and 2*tau")
-    add_blowups(add("check-second-type", "absence of tangent saddle-nodes"))
-    add_blowups(add("reduce", "reduction of singularities by point blow-ups"))
-    add("projective-validate", "Euler relation, degree, and singular points")
-    add("projective-global", "global Tjurina bound for an invariant curve")
+        if command.blowups:
+            cmd.add_argument(
+                "--max-blowups",
+                type=int,
+                default=MAX_BLOWUPS_DEFAULT,
+                metavar="N",
+                help="abort reduction after N blow-ups (default %(default)s)",
+            )
     return parser
 
 
@@ -106,132 +132,14 @@ def _parse_overrides(pairs: list[str]) -> dict[str, Fraction]:
     return overrides
 
 
-def _require_divisor(problem):
-    if problem.divisor is None:
-        raise DocumentError("this check needs a [divisor] section")
-    return problem.divisor
-
-
-def _cmd_invariants(problem) -> CheckReport:
-    germ = problem.germ
-    mu = milnor_foliation(germ)
-    data = {"multiplicity": multiplicity(germ), "mu": mu}
-    # i_0(P, Q) by a resultant: a route that shares no code with milnor_foliation
-    oracle = intersection_at_origin(germ.P, germ.Q)
-    if oracle != mu:
-        raise EngineInconsistencyError(
-            f"the resultant gives mu_oracle = {oracle} but the standard basis "
-            f"gives mu = {mu}"
-        )
-    data["mu_oracle"] = oracle
-    if problem.divisor is not None:
-        b = problem.divisor
-        inv = divisor_invariants(germ, b, mu)
-        data["nu_zero"] = b.zero.order
-        data["nu_pole"] = b.pole.order if b.pole is not None else 0
-        data["nu_signed"] = b.signed_multiplicity
-        data["tau"] = inv.tau
-        data["polar_probe"] = list(inv.polar.probe)
-        data["polar_certified"] = True
-        if b.pole is not None:
-            data["i_polar_pole"] = inv.polar.intersections[1]
-            data["i_zero_pole"] = inv.i_zero_pole
-        data["delta"] = inv.delta
-        data["xi"] = inv.xi
-        data["generalized_curve"] = inv.delta == 0
-        data["second_type"] = inv.xi == 0
-    return CheckReport("invariants", PASS, data)
-
-
-def _cmd_reduce(problem, args) -> CheckReport:
-    try:
-        result = reduce_germ(problem.germ, max_blowups=args.max_blowups)
-    except IrrationalSingularPointError as exc:
-        # The root search is complete, so the residual is always certified;
-        # bench/checks.py still requires the key.
-        return CheckReport(
-            "reduce",
-            FAIL,
-            {"residual": str(exc.residual), "certified": True},
-            [str(exc)],
-        )
-    except BlowupLimitError as exc:
-        return CheckReport("reduce", FAIL, {}, [str(exc)])
-    singularities = []
-    for sing in result.singularities:
-        singularities.append(
-            {
-                "components": list(sing.components),
-                "kind": sing.kind,
-                "ratio": None if sing.ratio is None else str(sing.ratio),
-                "weak_along_divisor": sing.weak_along_divisor,
-            }
-        )
-    data = {
-        "blowups": result.blowups,
-        "components": [
-            {"index": c.index, "dicritical": c.dicritical, "epsilon": c.epsilon}
-            for c in result.components
-        ],
-        "edges": [list(edge) for edge in result.edges],
-        "singularities": singularities,
-        "dicritical": result.dicritical,
-        "dicritical_budgets": dicritical_report(result),
-        "second_type": result.second_type,
-        "generalized_curve": result.generalized_curve,
-    }
-    return CheckReport("reduce", PASS, data)
-
-
-def _dispatch(args, sections, overrides) -> CheckReport:
-    if args.command in (
-        "invariants",
-        "check-bs",
-        "check-liu",
-        "check-cota",
-        "check-second-type",
-        "reduce",
-    ):
-        problem = load_local_problem(sections, overrides)
-        if args.command == "invariants":
-            return _cmd_invariants(problem)
-        if args.command == "reduce":
-            return _cmd_reduce(problem, args)
-        divisor = _require_divisor(problem)
-        if args.command == "check-bs":
-            return check_briancon_skoda(problem.germ, divisor)
-        if args.command == "check-liu":
-            return check_liu(problem.germ, divisor)
-        if args.command == "check-cota":
-            return check_cota(problem.germ, divisor)
-        return check_second_type(
-            problem.germ, divisor, max_blowups=args.max_blowups
-        )
-    problem = load_projective_problem(sections, overrides)
-    if args.command == "projective-validate":
-        return check_form(
-            *problem.coefficients, curve=problem.curve, points=problem.points
-        )
-    if problem.curve is None:
-        raise DocumentError("projective-global needs a curve key")
-    form = validate_form(*problem.coefficients)
-    return check_global_bound(form, problem.curve, problem.points)
-
-
-def _json_default(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    raise TypeError(f"not serializable: {value!r}")
-
-
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
         return "null"
-    if isinstance(value, (int, str, Fraction)):
+    if isinstance(value, (int, str)):
         return str(value)
-    return json.dumps(value, default=_json_default)
+    return json.dumps(value)
 
 
 def render_text(report: CheckReport) -> str:
@@ -254,11 +162,12 @@ def render_json(report: CheckReport) -> str:
         "data": report.data,
         "notes": report.notes,
     }
-    return json.dumps(payload, indent=2, default=_json_default) + "\n"
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
         overrides = _parse_overrides(args.param)
         try:
@@ -267,7 +176,11 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             raise DocumentError(f"cannot read {args.document}: {exc}") from exc
         sections = parse_document(text)
-        report = _dispatch(args, sections, overrides)
+        load = load_local_problem if command.local else load_projective_problem
+        problem = load(sections, overrides)
+        if command.needs and getattr(problem, command.needs[0]) is None:
+            raise DocumentError(command.needs[1])
+        report = command.run(problem, args)
     except (DocumentError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -988,11 +988,11 @@ def intersection_at_origin(f: Poly, g: Poly) -> int | None:
     A coprime pair of degrees d, e misses the first condition for at most
     min(d, e) values of c (the roots of the top forms at (c, 1)) and the
     second for at most d*e (one per common zero off the origin, by Bezout),
-    so past d*e + max(d, e) values the loop raises.  A zero resultant or a
-    failed second condition runs ``poly_gcd``, whose mod-p certificate
-    settles a coprime pair in one pass; the loop then tries the next shear.
-    A common factor through the origin makes the quotient infinite; any
-    other one is a unit there and is divided out.
+    so past d*e + max(d, e) values the loop raises.  The first zero
+    resultant or failed second condition runs ``poly_gcd`` (once per pair),
+    whose mod-p certificate settles a coprime pair in one pass; the loop
+    then tries the next shear.  A common factor through the origin makes the
+    quotient infinite; any other one is a unit there and is divided out.
     """
     if f.nvars != 2 or g.nvars != 2:
         raise ValueError("intersection numbers need two variables")
@@ -1000,7 +1000,7 @@ def intersection_at_origin(f: Poly, g: Poly) -> int | None:
         return 0
     if f.is_zero or g.is_zero:
         return None
-    c = 0
+    c, coprime = 0, False
     while True:
         degrees = (f.total_degree(), g.total_degree())
         if c > degrees[0] * degrees[1] + max(degrees):
@@ -1017,8 +1017,11 @@ def intersection_at_origin(f: Poly, g: Poly) -> int | None:
             res = _resultant(a, b)
             if res:
                 return next(i for i, v in enumerate(res) if v)
+        if coprime:
+            continue
         common = poly_gcd(f, g)
         if common.total_degree() == 0:
+            coprime = True
             continue
         if (0, 0) not in common._t:
             return None

@@ -1,10 +1,11 @@
-"""Verdict-producing checks tying the local invariants together.
+"""Every local report: the verdict-producing checks and the invariant tables.
 
-Every check returns a CheckReport carrying a verdict, the quantities it
+Every report is a CheckReport carrying a verdict, the quantities it
 computed, and any caveats.  Verdicts are "pass", "fail", or
 "not-applicable"; the last one is used when a hypothesis of the statement
 under test is not satisfied, in which case the numbers are still reported
-but prove nothing.
+but prove nothing.  Every value in a report is an int, bool, str or None,
+or a list or dict of those.
 
 The central object is the multiplication operator sigma on the finite
 quotient by the two germ components: its kernel computes the Tjurina number
@@ -19,6 +20,7 @@ from .blowup import (
     MAX_BLOWUPS_DEFAULT,
     BlowupLimitError,
     IrrationalSingularPointError,
+    dicritical_report,
     reduce_germ,
 )
 from .germs import (
@@ -33,9 +35,10 @@ from .germs import (
     tangency_excess,
     tjurina_foliation,
 )
-from .linalg import bareiss_rank, column_space_equal, kernel_basis
+from .linalg import bareiss_rank, kernel_basis
 from .localalg import EngineInconsistencyError, mult_operator
 from .localalg import standard_basis  # noqa: F401  (bench/tests reads this binding)
+from .polynomials import intersection_at_origin
 
 PASS = "pass"
 FAIL = "fail"
@@ -115,7 +118,9 @@ def check_liu(f: FoliationGerm, b: BalancedEquation) -> CheckReport:
     Both statements assume the germ is of second type; otherwise the check
     is not applicable and only reports the numbers.  The kernel of sigma
     has dimension dim O/(P, Q, g), which is tau; any other value is an
-    engine inconsistency.
+    engine inconsistency.  The kernel basis has rank len(kernel), so the
+    kernel is the image when the columns of sigma have that rank and do not
+    raise it.
     """
     xi = tangency_excess(f, b)
     sb = milnor_quotient(f)
@@ -135,7 +140,8 @@ def check_liu(f: FoliationGerm, b: BalancedEquation) -> CheckReport:
         raise EngineInconsistencyError(
             f"kernel of sigma has dimension {len(kernel)}, tau is {tau}"
         )
-    kernel_is_image = column_space_equal(kernel, sigma.columns)
+    columns = list(sigma.columns)
+    kernel_is_image = bareiss_rank(columns) == len(kernel) == bareiss_rank(kernel + columns)
     sandwich = tau <= mu <= 2 * tau
     equality = (mu == 2 * tau) == kernel_is_image
     data["sandwich"] = sandwich
@@ -146,6 +152,39 @@ def check_liu(f: FoliationGerm, b: BalancedEquation) -> CheckReport:
         verdict=_verdict(sandwich and equality),
         data=data,
     )
+
+
+def invariants_report(f: FoliationGerm, b: BalancedEquation | None) -> CheckReport:
+    """Table of local invariants, with the divisor's rows when b is given.
+
+    Beside check_cota, which reads the same divisor_invariants.
+    """
+    mu = milnor_foliation(f)
+    data = {"multiplicity": multiplicity(f), "mu": mu}
+    # i_0(P, Q) by a resultant: a route that shares no code with milnor_foliation
+    oracle = intersection_at_origin(f.P, f.Q)
+    if oracle != mu:
+        raise EngineInconsistencyError(
+            f"the resultant gives mu_oracle = {oracle} but the standard basis "
+            f"gives mu = {mu}"
+        )
+    data["mu_oracle"] = oracle
+    if b is not None:
+        inv = divisor_invariants(f, b, mu)
+        data["nu_zero"] = b.zero.order
+        data["nu_pole"] = b.pole.order if b.pole is not None else 0
+        data["nu_signed"] = b.signed_multiplicity
+        data["tau"] = inv.tau
+        data["polar_probe"] = list(inv.polar.probe)
+        data["polar_certified"] = True
+        if b.pole is not None:
+            data["i_polar_pole"] = inv.polar.intersections[1]
+            data["i_zero_pole"] = inv.i_zero_pole
+        data["delta"] = inv.delta
+        data["xi"] = inv.xi
+        data["generalized_curve"] = inv.delta == 0
+        data["second_type"] = inv.xi == 0
+    return CheckReport("invariants", PASS, data)
 
 
 def check_cota(f: FoliationGerm, b: BalancedEquation) -> CheckReport:
@@ -234,3 +273,45 @@ def check_second_type(
             notes.append("criterion and reduction disagree")
             second = False
     return CheckReport("check-second-type", _verdict(second), data, notes)
+
+
+def reduce_report(
+    f: FoliationGerm, max_blowups: int = MAX_BLOWUPS_DEFAULT
+) -> CheckReport:
+    """The reduction of singularities; "fail" when it stops before the end."""
+    try:
+        result = reduce_germ(f, max_blowups=max_blowups)
+    except IrrationalSingularPointError as exc:
+        # The root search is complete, so the residual is always certified;
+        # bench/checks.py still requires the key.
+        return CheckReport(
+            "reduce",
+            FAIL,
+            {"residual": str(exc.residual), "certified": True},
+            [str(exc)],
+        )
+    except BlowupLimitError as exc:
+        return CheckReport("reduce", FAIL, {}, [str(exc)])
+    singularities = [
+        {
+            "components": list(sing.components),
+            "kind": sing.kind,
+            "ratio": None if sing.ratio is None else str(sing.ratio),
+            "weak_along_divisor": sing.weak_along_divisor,
+        }
+        for sing in result.singularities
+    ]
+    data = {
+        "blowups": result.blowups,
+        "components": [
+            {"index": c.index, "dicritical": c.dicritical, "epsilon": c.epsilon}
+            for c in result.components
+        ],
+        "edges": [list(edge) for edge in result.edges],
+        "singularities": singularities,
+        "dicritical": result.dicritical,
+        "dicritical_budgets": dicritical_report(result),
+        "second_type": result.second_type,
+        "generalized_curve": result.generalized_curve,
+    }
+    return CheckReport("reduce", PASS, data)

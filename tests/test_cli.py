@@ -143,7 +143,7 @@ class TestLocalCommands:
         # mu and mu_oracle come from independent routes; a disagreement is
         # an engine fault, not a verdict: exit 4 with both values on stderr
         # and no traceback, under python -O too
-        monkeypatch.setattr(cli, "intersection_at_origin", lambda f, g: 2)
+        monkeypatch.setattr(theorems, "intersection_at_origin", lambda f, g: 2)
         code, out, err = run(capsys, "invariants", FIXTURES / "radial.fol")
         assert (code, out) == (4, "")
         assert err == (
@@ -459,6 +459,31 @@ class TestExitCodes:
         code, out, err = run(capsys, command, doc, *extra)
         assert (code, out) == (2, "")
         assert err == f"error: {error} is not a rational number\n"
+
+    LOCAL = "[foliation]\nP = -y\nQ = x\n"
+    PROJECTIVE = "[projective]\nA = y*z\nB = 2*x*z\nC = -3*x*y\n"
+
+    @pytest.mark.parametrize("command, text, error", [
+        ("invariants", "[]\n", "line 1: empty section name"),
+        ("invariants", LOCAL + "[foliation]\n", "line 4: duplicate section [foliation]"),
+        ("invariants", "[foliation]\n = x\n", "line 2: empty key"),
+        ("invariants", "[foliation]\nP = -y\n", "section [foliation] needs the key 'Q'"),
+        ("invariants", LOCAL + "[divisor]\nzero = 1 + x\n",
+         "[divisor]: curve germ must pass through the origin"),
+        ("projective-validate", PROJECTIVE + "points = 0:0:0\n",
+         "point '0:0:0': (0 : 0 : 0) is not a projective point"),
+        ("projective-validate", PROJECTIVE + "points = ;\n", "the points key lists no points"),
+        ("invariants", LOCAL + "[parameters]\nlam = abc\n",
+         "parameter 'lam': 'abc' is not a rational number"),
+        ("invariants", LOCAL + "[parameters]\nlam = 1/0\n",
+         "parameter 'lam': '1/0' is not a rational number"),
+    ], ids=["empty-section", "duplicate-section", "empty-key", "missing-key",
+            "divisor-off-origin", "zero-point", "no-points", "lam-word", "lam-zero-denominator"])
+    def test_document_errors(self, capsys, tmp_path, command, text, error):
+        doc = tmp_path / "bad.fol"
+        doc.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, command, doc)
+        assert (code, out, err) == (2, "", f"error: {error}\n")
 
     def test_bad_param(self, capsys):
         code, _, err = run(

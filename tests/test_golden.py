@@ -35,6 +35,7 @@ CASES = [
         ("radial.fol", LOCAL_COMMANDS),
         ("omega_lambda.fol", ("projective-validate", "projective-global")),
         ("chain22.fol", ("invariants", "reduce")),
+        ("cubic.fol", LOCAL_COMMANDS),
     )
     for command in commands
     for mode in ("txt", "json")

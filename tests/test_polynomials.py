@@ -955,6 +955,19 @@ class TestIntersectionAtOrigin:
         with pytest.raises(EngineInconsistencyError, match=r"x \+ 9\*y"):
             intersection_at_origin(P("y^2 - x^3"), P("x*y"))
 
+    def test_one_gcd_per_pair(self, monkeypatch):
+        # the shears x -> x and x -> x + y both fail on this germ-corpus
+        # germ; the pair is proved coprime once, not after each failure
+        calls = []
+        original = polynomials.poly_gcd
+        monkeypatch.setattr(
+            polynomials, "poly_gcd", lambda f, g: calls.append(1) or original(f, g)
+        )
+        f = P("3/2*x^2*y + 5/2*y^3 - 2*y^2")
+        g = P("1/2*x^3 + 15/2*x*y^2 - 4*x*y")
+        assert intersection_at_origin(f, g) == 6
+        assert len(calls) == 1
+
 
 class TestEngineInconsistency:
     """Cross-checks inside the gcd, the eliminant and the squarefree part raise,
