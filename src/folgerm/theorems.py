@@ -157,7 +157,8 @@ def check_liu(f: FoliationGerm, b: BalancedEquation) -> CheckReport:
 def invariants_report(f: FoliationGerm, b: BalancedEquation | None) -> CheckReport:
     """Table of local invariants, with the divisor's rows when b is given.
 
-    Beside check_cota, which reads the same divisor_invariants.
+    check_cota reads the same divisor_invariants, so the two reports agree
+    on tau, xi and the polar probe.
     """
     mu = milnor_foliation(f)
     data = {"multiplicity": multiplicity(f), "mu": mu}
