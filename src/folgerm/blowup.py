@@ -23,22 +23,21 @@ part on one integer scale), and a ``Fraction`` is made only for a ratio or
 direction that a report prints.  Nothing but the
 blow-up budget (``--max-blowups``) bounds the length of a chain.  Singular
 points are located as rational roots of a one-variable polynomial along the
-exceptional line.  The root search lifts the roots modulo a small prime
-p-adically (Loos's method) and has no budget, so it finds every rational
-root; a root that is not rational cannot be carried further in exact
-arithmetic and aborts the run with the offending residual factor.
+exceptional line, by a complete search with no budget (``dense.loos_roots``).
+A root that is not rational cannot be carried further in exact arithmetic
+and aborts the run with the offending residual factor.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
+from .dense import loos_roots, restrict_to_line
 from .germs import require_isolated
 from .localalg import EngineInconsistencyError
-from .polynomials import Poly, _add_terms, _common_scale, _zx_div, _zx_gcd
+from .polynomials import Poly, add_terms, common_scale
 
 MAX_BLOWUPS_DEFAULT = 24
 
@@ -73,7 +72,7 @@ def _chart(P: Poly, Q: Poly, var: int) -> tuple[Poly, Poly]:
     primitive map stays primitive.  Only the coefficient that takes both P
     and Q can cancel; it is formed on one integer scale of the pair.
     """
-    scale, (p, q) = _common_scale((P, Q))
+    scale, (p, q) = common_scale((P, Q))
     if var == 0:
         kept = Poly._raw(2, Q._c, {(a + b + 1, b): c for (a, b), c in Q._t.items()})
         shared = {(a + b, b): c for (a, b), c in p.items()}
@@ -82,7 +81,7 @@ def _chart(P: Poly, Q: Poly, var: int) -> tuple[Poly, Poly]:
         kept = Poly._raw(2, P._c, {(a, a + b + 1): c for (a, b), c in P._t.items()})
         shared = {(a + 1, a + b): c for (a, b), c in p.items()}
         extra = (((a, a + b), c) for (a, b), c in q.items())
-    shared = Poly._of(2, _add_terms(shared, extra), 1, scale)
+    shared = Poly._of(2, add_terms(shared, extra), 1, scale)
     return (shared, kept) if var == 0 else (kept, shared)
 
 
@@ -189,99 +188,10 @@ def classify_point(P: Poly, Q: Poly) -> PointClassification:
 # rational roots along the exceptional line
 
 
-def _section_in_y(p: Poly, x0: Fraction) -> list[int]:
-    """Coefficients of p(x0, t) by power of t, times a nonzero rational.
-
-    With x0 = n/d and D = deg_x p, the t^j coefficient is the integer
-    sum_i c_ij n^i d^(D - i), over the primitive integer map c_ij of p.
-    """
-    n, d, top = x0.numerator, x0.denominator, max(p.degree_in(0), 0)
-    coeffs = [0] * (max(p.degree_in(1), 0) + 1)
-    for (i, j), c in p._t.items():
-        coeffs[j] += c * n**i * d ** (top - i)
-    return coeffs
-
-
-def horner(coeffs: list[int], root: Fraction) -> int:
-    """d^k f(n/d) for f = sum coeffs[i] t^i, k = len(coeffs) - 1 and root = n/d.
-
-    The homogeneous value sum coeffs[i] n^i d^(k - i): an integer for integer
-    coefficients, zero exactly when the root is a root of f.
-    """
-    n, d = root.numerator, root.denominator
-    acc, power = 0, 1
-    for c in reversed(coeffs):
-        acc = acc * n + c * power
-        power *= d
-    return acc
-
-
-def _eval_mod(coeffs: list[int], value: int, modulus: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * value + c) % modulus
-    return acc
-
-
 def rational_roots(coeffs: list[Fraction | int]) -> tuple[list[Fraction], Poly, bool]:
-    """All rational roots (each listed once), the residual, and ``True``.
-
-    The residual is the input with every rational root divided out to its
-    full multiplicity, as a primitive polynomial in ``y``; it has no rational
-    root.  The search is Loos's p-adic method (SIAM J. Comput. 12, 1983),
-    complete and with no budget:
-
-    * zero roots are stripped; s is the integer-primitive squarefree part of
-      the rest, which is the rest itself when it is linear or a quadratic
-      with nonzero discriminant, and else the rest over its gcd with its
-      derivative, both over Z[t] (``_zx_gcd``, then the exact ``_zx_div``);
-    * p is the first prime not dividing lc(s) at which every root of s mod p
-      (s evaluated at 0, ..., p - 1) is simple; each is lifted by Newton
-      iteration until ``p**k > 2*|lc(s)|*|s(0)|``, and u = lc(s)*r mod p**k,
-      read in the symmetric range, gives u/lc(s) = n/d, kept if it is a root
-      (``horner``); the rest, cleared to a primitive integer list, is divided
-      by d*t - n over Z (``_zx_div``) while n/d is a root of it.
-
-    No root is missed: a root a/b in lowest terms has b | lc(s) and
-    |a| <= |s(0)|, its image mod p is a simple root with a unique lift, and
-    the symmetric range recovers the integer lc(s)*a/b.  The prime loop ends:
-    it skips only primes dividing lc(s) or disc(s), nonzero as s is
-    squarefree.  The third item is always ``True`` (the benchmark reads it).
-    """
-    work = list(coeffs)
-    while len(work) > 1 and work[-1] == 0:
-        work.pop()
-    roots = []
-    while len(work) > 1 and work[0] == 0:
-        roots = [Fraction(0)]
-        work.pop(0)
-    if len(work) > 1:
-        scale = math.lcm(*(c.denominator for c in work))
-        work = [c.numerator * (scale // c.denominator) for c in work]
-        content = math.gcd(*work)
-        s = work = [v // content for v in work]
-        if len(s) > 3 or len(s) == 3 and s[1] ** 2 == 4 * s[0] * s[2]:
-            s = _zx_div(s, _zx_gcd(s, [i * c for i, c in enumerate(s)][1:]))
-        lead, ds = s[-1], [i * c for i, c in enumerate(s)][1:]
-        for p in itertools.count(2):
-            if lead % p and all(p % q for q in range(2, math.isqrt(p) + 1)):
-                residues = [r for r in range(p) if _eval_mod(s, r, p) == 0]
-                if all(_eval_mod(ds, r, p) for r in residues):
-                    break
-        for r in residues:
-            modulus = p
-            while modulus <= 2 * abs(lead * s[0]):
-                modulus *= modulus
-                inverse = pow(_eval_mod(ds, r, modulus), -1, modulus)
-                r = (r - _eval_mod(s, r, modulus) * inverse) % modulus
-            u = lead * r % modulus
-            root = Fraction(u - modulus if 2 * u > modulus else u, lead)
-            if horner(s, root) == 0:
-                roots.append(root)
-                while horner(work, root) == 0:
-                    work = _zx_div(work, [-root.numerator, root.denominator])
-    residual = Poly(2, {(0, i): c for i, c in enumerate(work)}).primitive()
-    return sorted(roots), residual, True
+    """``dense.loos_roots`` with a primitive residual in y, and ``True`` (the benchmark reads it)."""
+    roots, residual = loos_roots(coeffs)
+    return roots, Poly(2, {(0, i): c for i, c in enumerate(residual)}).primitive(), True
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +312,7 @@ def reduce_germ(germ, max_blowups: int = MAX_BLOWUPS_DEFAULT) -> ReductionResult
 
         A1, B1 = data.chart1
         scan = B1 if data.dicritical else A1
-        roots, residual, _ = rational_roots(_section_in_y(scan, Fraction(0)))
+        roots, residual, _ = rational_roots(restrict_to_line(scan._t, (0, None)))
         if residual.total_degree() > 0:
             raise IrrationalSingularPointError(residual)
         if cy and Fraction(0) not in roots:

@@ -59,7 +59,7 @@ class InvalidBalancedEquationError(ValueError):
     """The supplied divisor fails coprimality, reducedness, or invariance."""
 
 
-def _refuse_assignment(self, name, value):
+def refuse_assignment(self, name, value):
     raise AttributeError(f"cannot assign to field {name!r}")
 
 
@@ -79,7 +79,7 @@ class FoliationGerm:
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "Q", Q)
 
-    __setattr__ = _refuse_assignment
+    __setattr__ = refuse_assignment
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FoliationGerm):
@@ -134,7 +134,7 @@ class CurveGerm:
             raise ValueError("curve germ must pass through the origin")
         object.__setattr__(self, "poly", poly)
 
-    __setattr__ = _refuse_assignment
+    __setattr__ = refuse_assignment
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CurveGerm):

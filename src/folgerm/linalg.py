@@ -79,7 +79,7 @@ def bareiss_rank(matrix: Matrix) -> int:
     return sparse_int_rank([_integer_row(row) for row in matrix])
 
 
-def _reduced_echelon(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
+def reduced_echelon(pivots: dict[int, dict[int, int]]) -> dict[int, dict[int, int]]:
     """Clear every pivot column from the other pivot rows, fraction-free.
 
     A reduced row is nonzero only at its own pivot and at non-pivot columns,
@@ -103,7 +103,7 @@ def kernel_basis(matrix: Matrix, ncols: int) -> list[dict[int, Fraction]]:
     on how it is eliminated, so this is the basis that reduced row echelon
     form over ``Fraction`` gives, as sparse vectors {column: entry}.
     """
-    reduced = _reduced_echelon(sparse_int_echelon([_integer_row(r) for r in matrix]))
+    reduced = reduced_echelon(sparse_int_echelon([_integer_row(r) for r in matrix]))
     vectors = {f: {f: Fraction(1)} for f in range(ncols) if f not in reduced}
     for p, row in reduced.items():
         lead = row[p]

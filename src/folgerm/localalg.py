@@ -48,7 +48,7 @@ from math import lcm
 from operator import add
 from typing import Iterable, Sequence
 
-from .linalg import _reduced_echelon, sparse_int_echelon
+from .linalg import reduced_echelon, sparse_int_echelon
 from .polynomials import EngineInconsistencyError, Monomial, Poly  # noqa: F401
 
 Terms = dict[Monomial, int]
@@ -139,7 +139,7 @@ class StandardBasis:
                    for col, row in self._pivots.items() if col < below}
             index = {m: i for i, m in enumerate(self.quotient_basis)}
             table = {m: (1, {i: 1}) for m, i in index.items()}
-            for col, row in _reduced_echelon(cut).items():
+            for col, row in reduced_echelon(cut).items():
                 table[columns[col]] = (row[col], {
                     index[columns[c]]: -v for c, v in row.items() if c != col})
             self._table = table

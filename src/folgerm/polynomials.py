@@ -5,8 +5,9 @@ content c times a primitive integer term map T (exponent tuples to nonzero
 ints with gcd 1); zero is (0, {}).  The pair is unique, so equality and
 hashing compare it.  By Gauss's lemma a product of primitive polynomials is
 primitive, so a product is c1*c2 times T1*T2 with no gcd; a sum takes one
-content gcd.  Every exact layer reads T directly.  Variables are named
-``x, y`` (arity 2) or ``x, y, z`` (arity 3); nothing touches floating point.
+content gcd.  Every exact layer reads T directly; the gcds and resultants
+over Z[x][y] are in ``dense``.  Variables are named ``x, y`` (arity 2) or
+``x, y, z`` (arity 3); nothing touches floating point.
 
 Printing uses a fixed term order (total degree, then lexicographic with
 ``x > y > z``, highest first) so that ``str`` output is canonical and survives
@@ -17,21 +18,19 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
-from math import comb as _comb
 from math import gcd as _int_gcd
 from math import lcm as _lcm
 from math import log10 as _log10
 from operator import add as _add
 from typing import Iterable, Mapping, Sequence
 
+from .dense import (CERT_PRIME, EngineInconsistencyError, euclid_mod_p, on_axis_only_at_origin,
+                    prem, resultant, sheared, zx_gcd, zx_mul, zxy_primitive)
+
 Monomial = tuple[int, ...]
 
 VAR_NAMES = ("x", "y", "z")
-
-class EngineInconsistencyError(RuntimeError):
-    """An internal cross-check failed: two exact routes to one fact disagreed."""
 
 
 class PolyParseError(ValueError):
@@ -117,10 +116,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self._t
 
-    def coefficient(self, monomial: Monomial) -> Fraction:
-        """The rational coefficient, for callers that print it; decisions read ``_t``."""
-        return self._c * self._t.get(tuple(monomial), 0)
-
     def total_degree(self) -> int:
         """Maximal total degree of a term; -1 for the zero polynomial."""
         return max(map(sum, self._t), default=-1)
@@ -149,8 +144,8 @@ class Poly:
             return self
         if not self._t:
             return other if sign > 0 else -other
-        scale, (a, b) = _common_scale((self, other))
-        ints = _add_terms(dict(a), ((m, sign * v) for m, v in b.items()))
+        scale, (a, b) = common_scale((self, other))
+        ints = add_terms(dict(a), ((m, sign * v) for m, v in b.items()))
         return Poly._of(self.nvars, ints, 1, scale)
 
     def __add__(self, other: Poly | Fraction | int) -> Poly:
@@ -322,7 +317,7 @@ def _diff(ints: dict[Monomial, int], var: int) -> dict[Monomial, int]:
     return {m[:var] + (m[var] - 1,) + m[var + 1:]: v * m[var] for m, v in ints.items() if m[var]}
 
 
-def _common_scale(polys: Sequence[Poly]) -> tuple[int, list[dict[Monomial, int]]]:
+def common_scale(polys: Sequence[Poly]) -> tuple[int, list[dict[Monomial, int]]]:
     """(L, maps): the integer map of L*p for each p; L is the lcm of the contents' denominators."""
     scale = _lcm(*(p._c.denominator for p in polys))
     maps = []
@@ -332,8 +327,8 @@ def _common_scale(polys: Sequence[Poly]) -> tuple[int, list[dict[Monomial, int]]
     return scale, maps
 
 
-def _add_terms(result: dict[Monomial, int],
-               pairs: Iterable[tuple[Monomial, int]]) -> dict[Monomial, int]:
+def add_terms(result: dict[Monomial, int],
+              pairs: Iterable[tuple[Monomial, int]]) -> dict[Monomial, int]:
     """Add the (monomial, coefficient) pairs into ``result``, in place."""
     for key, value in pairs:
         total = result.get(key, 0) + value
@@ -427,7 +422,7 @@ class _Parser:
             self.advance(self.pos + 1)
             self.add_term(terms, -1 if ch == "-" else 1)
         scale = _lcm(*(den for _, _, den, _ in terms))
-        total = _add_terms({}, ((m, num * (scale // den)) for m, num, den, _ in terms))
+        total = add_terms({}, ((m, num * (scale // den)) for m, num, den, _ in terms))
         value = Poly._of(self.nvars, total, 1, scale)
         starts = {m: start for m, _, _, start in terms}
         n, d = value._c.numerator, value._c.denominator
@@ -593,10 +588,6 @@ def try_exact_div(numerator: Poly, denominator: Poly) -> Poly | None:
     return Poly._raw(numerator.nvars, numerator._c / denominator._c, quotient)
 
 
-def divides(denominator: Poly, numerator: Poly) -> bool:
-    return try_exact_div(numerator, denominator) is not None
-
-
 def divides_wedge(curve: Poly, coefficients: tuple[Poly, ...]) -> bool:
     """Whether the curve divides omega ^ d(curve), for omega = sum c_i dx_i.
 
@@ -605,7 +596,7 @@ def divides_wedge(curve: Poly, coefficients: tuple[Poly, ...]) -> bool:
     integer scale and f primitive, which changes no divisibility, and each is
     decided by ``_exact_quotient``.
     """
-    (_, rows), f = _common_scale(coefficients), curve._t
+    (_, rows), f = common_scale(coefficients), curve._t
     grad = [_diff(f, v) for v in range(curve.nvars)]
     for i, j in combinations(range(len(rows)), 2):
         minor = _add_product({}, rows[i], grad[j])
@@ -615,13 +606,7 @@ def divides_wedge(curve: Poly, coefficients: tuple[Poly, ...]) -> bool:
     return True
 
 
-_CERT_PRIME = 2**31 - 1
 _CERT_POINTS = (7, 1234567, 98765431)
-
-
-def _image_mod_p(p: Poly) -> dict[Monomial, int]:
-    """The primitive integer map of p, reduced mod the prime."""
-    return {m: c % _CERT_PRIME for m, c in p._t.items()}
 
 
 def _specialize(image: dict[Monomial, int], var: int, values: tuple[int, ...],
@@ -631,24 +616,9 @@ def _specialize(image: dict[Monomial, int], var: int, values: tuple[int, ...],
     for monomial, c in image.items():
         for i, e in enumerate(monomial):
             if e and i != var:
-                c = c * pow(values[i], e, _CERT_PRIME) % _CERT_PRIME
-        coeffs[monomial[var]] = (coeffs[monomial[var]] + c) % _CERT_PRIME
+                c = c * pow(values[i], e, CERT_PRIME) % CERT_PRIME
+        coeffs[monomial[var]] = (coeffs[monomial[var]] + c) % CERT_PRIME
     return coeffs
-
-
-def _euclid_mod_p(f: list[int], g: list[int]) -> list[int]:
-    """gcd in F_p[v] of coefficient lists, lowest power first, nonzero leads."""
-    while g:
-        inverse = pow(g[-1], -1, _CERT_PRIME)
-        while len(f) >= len(g):
-            q = f[-1] * inverse % _CERT_PRIME
-            shift = len(f) - len(g)
-            for i, c in enumerate(g):
-                f[shift + i] = (f[shift + i] - q * c) % _CERT_PRIME
-            while f and not f[-1]:
-                f.pop()
-        f, g = g, f
-    return f
 
 
 def _coprime_mod_p(a: Poly, b: Poly) -> bool:
@@ -671,7 +641,7 @@ def _coprime_mod_p(a: Poly, b: Poly) -> bool:
     degree; so if every such variable passes, a and b are coprime.  False
     only means "not proved".
     """
-    images = (_image_mod_p(a), _image_mod_p(b))
+    images = [{m: c % CERT_PRIME for m, c in p._t.items()} for p in (a, b)]
     for var in range(a.nvars):
         degrees = (a.degree_in(var), b.degree_in(var))
         if min(degrees) <= 0:
@@ -682,7 +652,7 @@ def _coprime_mod_p(a: Poly, b: Poly) -> bool:
                 _specialize(image, var, values, degree)
                 for image, degree in zip(images, degrees)
             )
-            if f[-1] and g[-1] and len(_euclid_mod_p(f, g)) == 1:
+            if f[-1] and g[-1] and len(euclid_mod_p(f, g)) == 1:
                 break
         else:
             return False
@@ -701,170 +671,11 @@ def dehomogenize(p: Poly, axis: int) -> Poly:
     terms = {(m[i], m[j]): v for m, v in p._t.items()}
     if len(terms) == len(p._t):
         return Poly._raw(2, p._c, terms)
-    terms = _add_terms({}, (((m[i], m[j]), v) for m, v in p._t.items()))
+    terms = add_terms({}, (((m[i], m[j]), v) for m, v in p._t.items()))
     return Poly._of(2, terms, p._c.numerator, p._c.denominator)
 
 
-# -- resultants and gcds over Z[x] and Z[x][y] -----------------------------
-#
-# Z[x] is a list of ints, lowest power first, without trailing zeros (the
-# zero polynomial is []); Z[x][y] is a list of those, lowest power of y first,
-# with a nonzero last entry.
-
-
-def _zx_sub(a: list[int], b: list[int]) -> list[int]:
-    out = a + [0] * (len(b) - len(a)) if len(a) < len(b) else list(a)
-    for i, v in enumerate(b):
-        out[i] -= v
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _zx_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    if len(a) == 1:
-        return [a[0] * v for v in b]
-    out = [0] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        if u:
-            for j, v in enumerate(b):
-                out[i + j] += u * v
-    return out
-
-
-def _zx_pow(a: list[int], n: int) -> list[int]:
-    out = [1]
-    for _ in range(n):
-        out = _zx_mul(out, a)
-    return out
-
-
-def _zx_div(a: list[int], b: list[int]) -> list[int]:
-    """The quotient a / b in Z[x], for a b that the caller knows divides a.
-
-    The power of x that divides b must divide a; both are stripped of it
-    first, so a power of x costs one pass and not a schoolbook division.
-    """
-    shift = next(i for i, v in enumerate(b) if v)
-    if any(a[:shift]):
-        raise EngineInconsistencyError("a division in Z[x] is not exact")
-    a, b = a[shift:], b[shift:]
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    for k in reversed(range(len(q))):
-        q[k] = c = a[k + len(b) - 1] // b[-1]
-        for j, v in enumerate(b):
-            a[k + j] -= c * v
-    if any(a):
-        raise EngineInconsistencyError("a division in Z[x] is not exact")
-    return q
-
-
-def _zx_gcd(a: list[int], b: list[int]) -> list[int]:
-    """gcd in Z[x] of nonzero a and b, primitive, up to sign.
-
-    It is 1 when the images modulo ``_CERT_PRIME`` are coprime and the prime
-    does not divide lc(a): the image of a common factor keeps its degree and
-    divides both images.  Otherwise the primitive remainder sequence, whose
-    reduction steps multiply r by lc(b) / gcd(lc(r), lc(b)), not by lc(b).
-    """
-    if a[-1] % _CERT_PRIME:
-        g = [v % _CERT_PRIME for v in b]
-        while g and not g[-1]:
-            g.pop()
-        if len(_euclid_mod_p([v % _CERT_PRIME for v in a], g)) == 1:
-            return [1]
-    if len(a) < len(b):
-        a, b = b, a
-    content = _int_gcd(*a)
-    a = [v // content for v in a]
-    while b:
-        content = _int_gcd(*b)
-        r, b = a, [v // content for v in b]
-        while len(r) >= len(b):
-            k = _int_gcd(r[-1], b[-1])
-            u, t = b[-1] // k, r[-1] // k
-            shift = len(r) - len(b)
-            r = [u * v for v in r]
-            for j, v in enumerate(b):
-                r[shift + j] -= t * v
-            while r and not r[-1]:
-                r.pop()
-        a, b = b, r
-    return a
-
-
-def _prem(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """lc(b)^(deg a - deg b + 1) * a modulo b, in Z[x][y]."""
-    lead, r = b[-1], list(a)
-    spare = len(a) - len(b) + 1
-    while len(r) >= len(b):
-        top, shift = r.pop(), len(r) + 1 - len(b)
-        r = [_zx_mul(lead, c) for c in r]
-        for j, c in enumerate(b[:-1]):
-            r[shift + j] = _zx_sub(r[shift + j], _zx_mul(top, c))
-        while r and not r[-1]:
-            r.pop()
-        spare -= 1
-    scale = _zx_pow(lead, spare)
-    return [_zx_mul(scale, c) for c in r]
-
-
-def _resultant(a: list[list[int]], b: list[list[int]]) -> list[int]:
-    """Res_y(a, b) in Z[x] for a, b in Z[x][y], not both constant in y.
-
-    The subresultant pseudo-remainder sequence (Collins 1967; Brown and
-    Traub 1971), as in Cohen, *A Course in Computational Algebraic Number
-    Theory*, Algorithm 3.3.7, without taking contents.
-    """
-    sign = 1
-    if len(a) < len(b):
-        a, b = b, a
-        sign = -1 if (len(a) - 1) * (len(b) - 1) % 2 else 1
-    g = h = [1]
-    while len(b) > 1:
-        delta = len(a) - len(b)
-        if (len(a) - 1) % 2 and (len(b) - 1) % 2:
-            sign = -sign
-        r = _prem(a, b)
-        if not r:
-            return []
-        divisor = _zx_mul(g, _zx_pow(h, delta))
-        a, b = b, [_zx_div(c, divisor) for c in r]
-        g = a[-1]
-        if delta:
-            h = _zx_div(_zx_pow(g, delta), _zx_pow(h, delta - 1))
-    n = len(a) - 1
-    h = _zx_div(_zx_pow(b[0], n), _zx_pow(h, n - 1))
-    return [sign * v for v in h]
-
-
-def _sheared(p: Poly, c: int) -> list[list[int]]:
-    """p(x + c*y, y) in Z[x][y], over the content of p."""
-    rows: dict[int, dict[int, int]] = {}
-    for (i, j), v in p._t.items():
-        for k in range(i + 1) if c else (i,):
-            row = rows.setdefault(j + i - k, {})
-            row[k] = row.get(k, 0) + v * _comb(i, k) * c ** (i - k)
-    out = []
-    for e in range(max(rows) + 1):
-        row = rows.get(e, {})
-        coeffs = [row.get(k, 0) for k in range(max(row, default=-1) + 1)]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        out.append(coeffs)
-    while not out[-1]:
-        out.pop()
-    return out
-
-
-def _zxy_primitive(p: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """(c, q): c a gcd in Z[x] of the entries of p, q = p/c with no integer content."""
-    content = reduce(_zx_gcd, filter(None, p))
-    q = [_zx_div(c, content) for c in p]
-    k = _int_gcd(*(v for c in q for v in c))
-    return content, [[v // k for v in c] for c in q]
+# -- gcds, squarefreeness and intersection numbers -------------------------
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
@@ -902,15 +713,15 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if nvars == 3:
         low = min(m[2] for p in (a, b) for m in p._t)
         a, b = dehomogenize(a, 2), dehomogenize(b, 2)
-    (ca, f), (cb, g) = (_zxy_primitive(_sheared(p, 0)) for p in (a, b))
+    (ca, f), (cb, g) = (zxy_primitive(sheared(p._t, 0)) for p in (a, b))
     if len(f) < len(g):
         f, g = g, f
     while g:
-        r = _prem(f, g)
-        f, g = g, (_zxy_primitive(r)[1] if r else [])
-    content = _zx_gcd(ca, cb)
+        r = prem(f, g)
+        f, g = g, (zxy_primitive(r)[1] if r else [])
+    content = zx_gcd(ca, cb)
     terms = {(i, j): v for j, c in enumerate(f)
-             for i, v in enumerate(_zx_mul(content, c)) if v}
+             for i, v in enumerate(zx_mul(content, c)) if v}
     if nvars == 3:
         top = max(map(sum, terms)) + low
         terms = {(i, j, top - i - j): v for (i, j), v in terms.items()}
@@ -943,7 +754,7 @@ def is_squarefree(p: Poly) -> bool:
         raise ValueError("three-variable squarefreeness needs homogeneous input")
     combination: dict[Monomial, int] = {}
     for var, w in zip(range(p.nvars), (1, 3, 9)):
-        _add_terms(combination, ((m, w * v) for m, v in _diff(p._t, var).items()))
+        add_terms(combination, ((m, w * v) for m, v in _diff(p._t, var).items()))
     if combination and _coprime_mod_p(p, Poly._of(p.nvars, combination)):
         return True
     if p.nvars == 3:
@@ -953,24 +764,9 @@ def is_squarefree(p: Poly) -> bool:
     if p.total_degree() == 0:
         return True
     c = 0
-    while len((a := _sheared(p, c))[-1]) > 1:
+    while len((a := sheared(p._t, c))[-1]) > 1:
         c += 1
-    return bool(_resultant(a, [[j * v for v in row] for j, row in enumerate(a)][1:]))
-
-
-def _on_axis_only_at_origin(a: list[list[int]], b: list[list[int]]) -> bool:
-    """Whether gcd(a(0, y), b(0, y)) is a power of y; a(0, y) is nonzero."""
-    images = []
-    for p in (a, b):
-        values = [c[0] if c else 0 for c in p]
-        while values and not values[-1]:
-            values.pop()
-        while values and not values[0]:
-            values.pop(0)
-        images.append([[v] if v else [] for v in values])
-    if not images[1]:
-        return len(images[0]) == 1
-    return min(map(len, images)) == 1 or bool(_resultant(*images))
+    return bool(resultant(a, [[j * v for v in row] for j, row in enumerate(a)][1:]))
 
 
 def intersection_at_origin(f: Poly, g: Poly) -> int | None:
@@ -1007,14 +803,14 @@ def intersection_at_origin(f: Poly, g: Poly) -> int | None:
             raise EngineInconsistencyError(
                 f"no shear up to x + {c - 1}*y isolates the origin of a coprime pair"
             )
-        a, b = _sheared(f, c), _sheared(g, c)
+        a, b = sheared(f._t, c), sheared(g._t, c)
         if len(a[-1]) > 1:
             a, b = b, a
         c += 1
         if len(a[-1]) > 1:
             continue
-        if _on_axis_only_at_origin(a, b):
-            res = _resultant(a, b)
+        if on_axis_only_at_origin(a, b):
+            res = resultant(a, b)
             if res:
                 return next(i for i, v in enumerate(res) if v)
         if coprime:

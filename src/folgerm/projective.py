@@ -8,7 +8,7 @@ degree-d foliation has coefficients of degree d + 1 and, counted with
 multiplicity, ``d**2 + d + 1`` singular points.
 
 Singular points are located by an integer resultant (the subresultant
-sequence of ``polynomials``) and a complete rational root search, so every
+sequence of ``dense``) and a complete rational root search, so every
 rational one is found and no irrational one is.  The
 sum of local Milnor numbers over the located points is compared against
 ``d**2 + d + 1``: when the two agree, every singular point has rational
@@ -23,26 +23,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .blowup import _section_in_y, horner, rational_roots
-from .germs import (
-    CurveGerm,
-    FoliationGerm,
-    _refuse_assignment,
-    milnor_foliation,
-    multiplicity,
-    tjurina_curve,
-    tjurina_foliation,
-)
-from .polynomials import (
-    EngineInconsistencyError,
-    Poly,
-    _resultant,
-    _sheared,
-    dehomogenize,
-    divides_wedge,
-    is_squarefree,
-    poly_gcd,
-)
+from .blowup import rational_roots
+from .dense import EngineInconsistencyError, horner, restrict_to_line, resultant, sheared
+from .germs import (CurveGerm, FoliationGerm, milnor_foliation, multiplicity, refuse_assignment,
+                    tjurina_curve, tjurina_foliation)
+from .polynomials import Poly, dehomogenize, divides_wedge, is_squarefree, poly_gcd
 from .theorems import FAIL, NOT_APPLICABLE, PASS, CheckReport
 
 
@@ -103,7 +88,7 @@ class ProjectiveFoliation:
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "degree", degrees.pop() - 1)
 
-    __setattr__ = _refuse_assignment
+    __setattr__ = refuse_assignment
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ProjectiveFoliation):
@@ -169,15 +154,6 @@ class ProjectivePoint(NamedTuple):
         return "[" + " : ".join(str(c) for c in self.coords) + "]"
 
 
-def _restrict_to_infinity(p: Poly) -> list[int]:
-    """Coefficients of p(t, 1, 0) by power of t, over the content of p."""
-    coeffs = [0] * (max(p.degree_in(0), 0) + 1)
-    for (i, j, k), c in p._t.items():
-        if k == 0:
-            coeffs[i] += c
-    return coeffs
-
-
 def _line_roots(first: list[int], second: list[int]) -> list[Fraction]:
     """Common rational roots of two univariate coefficient lists.
 
@@ -197,7 +173,7 @@ def _affine_common_zeros(a: Poly, b: Poly) -> list[tuple[Fraction, Fraction]]:
 
     The caller guarantees coprimality (see ``singular_points``).  On the
     primitive integer maps, the eliminant is Res_y(a, b) in Z[x], from the
-    subresultant sequence of ``polynomials``, or the x-polynomial of a member
+    subresultant sequence of ``dense``, or the x-polynomial of a member
     constant in y.  It vanishes at the x-coordinate of every common zero and
     is nonzero for a coprime pair.  Its rational roots are the candidates,
     confirmed by restricting both polynomials to the vertical line.  The root
@@ -209,16 +185,16 @@ def _affine_common_zeros(a: Poly, b: Poly) -> list[tuple[Fraction, Fraction]]:
         if survivor.is_zero or survivor.total_degree() > 0:
             raise ValueError("singular locus is not finite in a chart")
         return []
-    f, g = _sheared(a, 0), _sheared(b, 0)
+    f, g = sheared(a._t, 0), sheared(b._t, 0)
     if len(f) < len(g):
         f, g = g, f
-    eliminant = g[0] if len(g) == 1 else _resultant(f, g)
+    eliminant = g[0] if len(g) == 1 else resultant(f, g)
     if not eliminant:
         raise EngineInconsistencyError("a coprime pair left a zero eliminant")
     candidates, _, _ = rational_roots(eliminant)
     points = []
     for x0 in candidates:
-        for y0 in _line_roots(_section_in_y(a, x0), _section_in_y(b, x0)):
+        for y0 in _line_roots(*(restrict_to_line(p._t, (x0, None)) for p in (a, b))):
             points.append((x0, y0))
     return points
 
@@ -239,9 +215,7 @@ def singular_points(form: ProjectiveFoliation) -> list[ProjectivePoint]:
     points = []
     for x0, y0 in _affine_common_zeros(*form._charts[2]):
         points.append(ProjectivePoint.of(x0, y0, 1))
-    line_a = _restrict_to_infinity(form.A)
-    line_c = _restrict_to_infinity(form.C)
-    for x0 in _line_roots(line_a, line_c):
+    for x0 in _line_roots(*(restrict_to_line(p._t, (None, 1, 0)) for p in (form.A, form.C))):
         points.append(ProjectivePoint.of(x0, 1, 0))
     origin = (Fraction(1), Fraction(0), Fraction(0))
     if form.B.evaluate(origin) == 0 and form.C.evaluate(origin) == 0:

@@ -130,10 +130,11 @@ class TestClassification:
 
 def reference_classification(p, q):
     """classify_point written on ``Fraction`` coefficients, as a reference."""
-    if p.coefficient((0, 0)) != 0 or q.coefficient((0, 0)) != 0:
+    p, q = p.terms, q.terms
+    if p.get((0, 0), 0) != 0 or q.get((0, 0), 0) != 0:
         return ("smooth", None, None)
-    a, b = -q.coefficient((1, 0)), -q.coefficient((0, 1))
-    c, d = p.coefficient((1, 0)), p.coefficient((0, 1))
+    a, b = -q.get((1, 0), 0), -q.get((0, 1), 0)
+    c, d = p.get((1, 0), 0), p.get((0, 1), 0)
     tr, det = a + d, a * d - b * c
     if det == 0:
         if tr == 0:

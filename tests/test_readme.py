@@ -4,7 +4,8 @@ import ast
 import re
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_quick_start_gives_the_commented_values():
@@ -23,3 +24,9 @@ def test_quick_start_gives_the_commented_values():
         else:
             exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
     assert checked == [2, 2, 3, "pass"]
+
+
+def test_layout_lists_every_package_module():
+    block = re.search(r"## Layout\n\n```\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    listed = set(re.findall(r"^  (\S+\.py) ", block.group(1), re.M))
+    assert listed == {path.name for path in (ROOT / "src" / "folgerm").glob("*.py")}

@@ -36,6 +36,22 @@ def test_cli_import_loads_no_dataclass_machinery():
     assert done.stdout == "[]\n"
 
 
+def test_dense_loads_no_other_folgerm_module():
+    # ``import folgerm.dense`` would run the package's ``__init__``, which
+    # imports every layer; so the file is loaded as ``folgerm.dense`` without
+    # the package, and any import it made from folgerm would load the package
+    done = _python(
+        "-c",
+        "import importlib.util, sys\n"
+        "spec = importlib.util.spec_from_file_location('folgerm.dense', 'src/folgerm/dense.py')\n"
+        "module = sys.modules['folgerm.dense'] = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(module)\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'folgerm'))\n",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "['folgerm.dense']\n"
+
+
 @pytest.mark.parametrize("fixture, command", [
     ("fk5.fol", "check-bs"),
     ("omega_lambda.fol", "projective-global"),
